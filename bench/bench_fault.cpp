@@ -57,7 +57,7 @@ struct Outcome {
   double max_write_seconds = 0.0;  // worst client-visible write (jitter)
   double throughput_mb_s = 0.0;    // bytes that reached storage / wall
   double recovered_pct = 0.0;      // blocks persisted or sync-written
-  std::uint64_t failed_client_writes = 0;
+  std::uint64_t failed_client_writes = 0;  // write/end_iteration/finalize
   std::uint64_t failed_iterations = 0;
   std::uint64_t sync_files = 0;
   std::uint64_t dropped_writes = 0;
@@ -105,9 +105,9 @@ Outcome run_scenario(const fault::FaultPlan& plan,
       core::Client client = node.client(c);
       for (int it = 0; it < kIterations; ++it) {
         if (!client.write("field", it, payload).is_ok()) ++failures[c];
-        client.end_iteration(it);
+        if (!client.end_iteration(it).is_ok()) ++failures[c];
       }
-      client.finalize();
+      if (!client.finalize().is_ok()) ++failures[c];
     });
   }
   for (auto& t : threads) t.join();

@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "format/codec.hpp"
+#include "format/crc32.hpp"
 #include "format/pipeline.hpp"
 
 namespace {
@@ -108,6 +109,21 @@ void BM_DecodeLossless(benchmark::State& state) {
                           static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_DecodeLossless);
+
+// The DH5 payload checksum: every stored byte passes through it on the
+// dedicated core and again on read-back. 8 KiB is an in-situ block,
+// 8 MiB a checkpoint block (beyond L2, so memory bandwidth shows).
+void BM_Crc32(benchmark::State& state) {
+  dmr::Rng rng(99);
+  std::vector<std::byte> input(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : input) b = static_cast<std::byte>(rng.next_below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(input));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(8 << 10)->Arg(8 << 20);
 
 }  // namespace
 

@@ -6,7 +6,8 @@
 #   scripts/ci.sh               # tier-1 + lint + ASan + UBSan + model check
 #   scripts/ci.sh --fast        # tier-1 + lint + ASan (quick local loop)
 #   scripts/ci.sh --tsan        # ... plus the threaded suites under TSan
-#   scripts/ci.sh --no-bench    # skip the BENCH_pipeline.json snapshot
+#   scripts/ci.sh --no-bench    # skip the BENCH_pipeline.json snapshot and
+#                               # the perfbench smoke tests
 #   scripts/ci.sh --no-docs     # skip the EXPERIMENTS.md drift gate
 #   scripts/ci.sh --no-model    # skip the shm-protocol model-checking stage
 #   scripts/ci.sh --no-chaos    # skip the fixed-seed fault-injection matrix
@@ -101,6 +102,12 @@ if [ "$RUN_BENCH" = 1 ]; then
   step "bench_pipeline -> build/BENCH_pipeline.json"
   cmake --build build -j "$JOBS" --target bench_pipeline
   ./build/bench/bench_pipeline build/BENCH_pipeline.json
+
+  # The end-to-end benchmark's own tests (~25 s; ~1.5 min when it first
+  # builds its own Release tree): every workload in smoke mode, and a
+  # flipped output byte must still fail its read-back check.
+  step "perfbench smoke tests"
+  python3 perfbench/test_perfbench.py
 fi
 
 step "ci green"

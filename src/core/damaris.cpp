@@ -992,9 +992,8 @@ Status DamarisNode::sync_write(int client, std::uint32_t name_id,
   info.source = client;
   if (const format::Layout* l = cfg_.layout_of(variable)) info.layout = *l;
 
-  const iopath::CompressionModel model = compression_model_for(cfg_, variable);
-  format::EncodedBuffer encoded = model.codec_pipeline().encode(data);
-  Status st = writer.value().add_encoded(info, encoded, data.size());
+  Status st = writer.value().add_dataset(
+      info, data, compression_model_for(cfg_, variable).codec_pipeline());
   if (!st.is_ok()) return st;
   st = writer.value().finalize();
   if (!st.is_ok()) return st;

@@ -109,30 +109,33 @@ Status PersistencyLayer::write_blocks_once(
     info.layout = b.layout;
     const std::span<const std::byte> raw(buffer.data(b.block), b.size);
 
-    // Transform: run the variable's codec chain (identity encodes are a
-    // plain copy, so splitting from the container write is lossless).
-    const iopath::CompressionModel model =
-        compression_model_for(cfg, b.variable);
+    // Transform: run the variable's codec chain. An empty chain is
+    // skipped outright, so the shm block goes straight to the container
+    // (a 0 s Transform op with bytes_in == bytes_out, as in the DES).
+    const format::Pipeline pipeline =
+        compression_model_for(cfg, b.variable).codec_pipeline();
+    format::EncodedBuffer encoded;
     auto t0 = Clock::now();
-    format::EncodedBuffer encoded = model.codec_pipeline().encode(raw);
-    double dt = seconds_since(t0);
+    if (!pipeline.empty()) encoded = pipeline.encode(raw);
+    double dt = pipeline.empty() ? 0.0 : seconds_since(t0);
+    const Bytes stored = pipeline.empty() ? b.size : encoded.data.size();
     {
       MutexLock lock(stats_mutex_);
-      stage_stats_.of(iopath::StageKind::kTransform)
-          .add(dt, b.size, encoded.data.size());
+      stage_stats_.of(iopath::StageKind::kTransform).add(dt, b.size, stored);
     }
     trace_persist(node_id_, "transform", dt, b.size, b.iteration);
 
-    // Storage: append the encoded dataset to the container.
+    // Storage: append the dataset to the container.
     t0 = Clock::now();
-    Status s = writer.value().add_encoded(info, encoded, raw.size());
+    Status s = pipeline.empty()
+                   ? writer.value().add_dataset(info, raw)
+                   : writer.value().add_encoded(info, encoded, raw.size());
     dt = seconds_since(t0);
     {
       MutexLock lock(stats_mutex_);
-      stage_stats_.of(iopath::StageKind::kStorage)
-          .add(dt, encoded.data.size(), encoded.data.size());
+      stage_stats_.of(iopath::StageKind::kStorage).add(dt, stored, stored);
     }
-    trace_persist(node_id_, "storage", dt, encoded.data.size(), b.iteration);
+    trace_persist(node_id_, "storage", dt, stored, b.iteration);
     if (!s.is_ok()) return s;
     MutexLock lock(stats_mutex_);
     ++stats_.datasets_written;

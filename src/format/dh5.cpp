@@ -1,6 +1,7 @@
 #include "format/dh5.hpp"
 
 #include <cstring>
+#include <memory>
 
 #include "format/crc32.hpp"
 
@@ -31,6 +32,96 @@ bool write_bytes(std::FILE* f, const void* p, std::size_t n) {
 
 bool read_bytes(std::FILE* f, void* p, std::size_t n) {
   return n == 0 || std::fread(p, 1, n, f) == n;
+}
+
+/// Parses the dataset header at `offset` of `f`, a file of `file_size`
+/// bytes, into `e`.
+Status read_header(std::FILE* f, std::uint64_t offset,
+                   std::uint64_t file_size, const std::string& path,
+                   DatasetEntry& e) {
+  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+    return corrupt_data(path + ": bad dataset offset");
+  }
+  char dmagic[4];
+  if (!read_bytes(f, dmagic, 4) || std::memcmp(dmagic, kDsetMagic, 4) != 0) {
+    return corrupt_data(path + ": bad dataset magic");
+  }
+  e.header_offset = offset;
+  std::uint16_t name_len;
+  if (!read_scalar(f, name_len)) return corrupt_data(path + ": truncated");
+  e.info.name.resize(name_len);
+  if (!read_bytes(f, e.info.name.data(), name_len)) {
+    return corrupt_data(path + ": truncated name");
+  }
+  std::uint8_t dtype, ndims, ncodecs;
+  if (!read_scalar(f, e.info.iteration) || !read_scalar(f, e.info.source) ||
+      !read_scalar(f, dtype) || !read_scalar(f, ndims)) {
+    return corrupt_data(path + ": truncated header");
+  }
+  if (dtype > static_cast<std::uint8_t>(DataType::kFloat64)) {
+    return corrupt_data(path + ": unknown dtype");
+  }
+  e.info.layout.type = static_cast<DataType>(dtype);
+  e.info.layout.dims.resize(ndims);
+  for (auto& d : e.info.layout.dims) {
+    if (!read_scalar(f, d)) return corrupt_data(path + ": truncated dims");
+  }
+  if (!read_scalar(f, ncodecs)) return corrupt_data(path + ": truncated");
+  e.codecs.resize(ncodecs);
+  for (auto& c : e.codecs) {
+    std::uint8_t id;
+    if (!read_scalar(f, id)) return corrupt_data(path + ": truncated");
+    c = static_cast<CodecId>(id);
+  }
+  e.sizes_before.resize(ncodecs);
+  for (auto& s : e.sizes_before) {
+    if (!read_scalar(f, s)) return corrupt_data(path + ": truncated");
+  }
+  if (!read_scalar(f, e.raw_size) || !read_scalar(f, e.stored_size) ||
+      !read_scalar(f, e.crc)) {
+    return corrupt_data(path + ": truncated sizes");
+  }
+  const long payload = std::ftell(f);
+  if (payload < 0) return io_error("ftell failed");
+  e.payload_offset = static_cast<std::uint64_t>(payload);
+  // Size sanity: a corrupted header must not drive the reader into
+  // huge allocations. Payload must fit in the file, and the decoded
+  // sizes cannot exceed what the codec stages could possibly expand
+  // to (LZ77's worst-case expansion is ~44x per stage; 512x total is
+  // a generous cap).
+  const std::uint64_t max_decoded = e.stored_size * 512 + 4096;
+  if (e.payload_offset + e.stored_size > file_size ||
+      e.raw_size > max_decoded) {
+    return corrupt_data(path + ": implausible dataset sizes");
+  }
+  for (std::uint64_t s : e.sizes_before) {
+    if (s > max_decoded) {
+      return corrupt_data(path + ": implausible stage size");
+    }
+  }
+  return Status::ok();
+}
+
+/// Reads dataset `e`'s payload from `f`, checks its CRC and decodes it.
+Result<std::vector<std::byte>> read_payload(std::FILE* f,
+                                            const DatasetEntry& e) {
+  if (std::fseek(f, static_cast<long>(e.payload_offset), SEEK_SET) != 0) {
+    return io_error("seek failed");
+  }
+  std::vector<std::byte> stored(e.stored_size);
+  if (!read_bytes(f, stored.data(), stored.size())) {
+    return corrupt_data("short payload read");
+  }
+  if (crc32(stored) != e.crc) {
+    return corrupt_data("crc mismatch in dataset '" + e.info.name + "'");
+  }
+  if (e.codecs.empty()) {
+    if (stored.size() != e.raw_size) {
+      return corrupt_data("raw size mismatch");
+    }
+    return stored;
+  }
+  return Pipeline::decode(stored, e.codecs, e.sizes_before);
 }
 
 }  // namespace
@@ -79,25 +170,33 @@ Result<Dh5Writer> Dh5Writer::create(const std::string& path) {
 Status Dh5Writer::add_dataset(const DatasetInfo& info,
                               std::span<const std::byte> raw,
                               const Pipeline& pipeline) {
-  EncodedBuffer enc = pipeline.encode(raw);
+  if (pipeline.empty()) return append(info, raw, {}, {}, raw.size());
+  const EncodedBuffer enc = pipeline.encode(raw);
   return add_encoded(info, enc, raw.size());
 }
 
 Status Dh5Writer::add_encoded(const DatasetInfo& info,
                               const EncodedBuffer& encoded,
                               std::uint64_t raw_size) {
+  return append(info, encoded.data, encoded.codecs, encoded.sizes_before,
+                raw_size);
+}
+
+Status Dh5Writer::append(const DatasetInfo& info,
+                         std::span<const std::byte> payload,
+                         std::span<const CodecId> codecs,
+                         std::span<const std::uint64_t> sizes_before,
+                         std::uint64_t raw_size) {
   if (!file_) return failed_precondition("writer is closed");
   if (info.name.size() > 0xFFFF) return invalid_argument("name too long");
   if (info.layout.dims.size() > 0xFF) return invalid_argument("too many dims");
-  if (encoded.codecs.size() > 0xFF) return invalid_argument("too many codecs");
+  if (codecs.size() > 0xFF) return invalid_argument("too many codecs");
 
   const long pos = std::ftell(file_);
   if (pos < 0) return io_error("ftell failed");
   offsets_.push_back(static_cast<std::uint64_t>(pos));
 
-  const std::uint32_t crc =
-      crc32(std::span<const std::byte>(encoded.data.data(),
-                                       encoded.data.size()));
+  const std::uint32_t crc = crc32(payload);
   bool ok = write_bytes(file_, kDsetMagic, 4) &&
             write_scalar<std::uint16_t>(
                 file_, static_cast<std::uint16_t>(info.name.size())) &&
@@ -110,22 +209,22 @@ Status Dh5Writer::add_encoded(const DatasetInfo& info,
                 file_, static_cast<std::uint8_t>(info.layout.dims.size()));
   for (std::uint64_t d : info.layout.dims) ok = ok && write_scalar(file_, d);
   ok = ok && write_scalar<std::uint8_t>(
-                 file_, static_cast<std::uint8_t>(encoded.codecs.size()));
-  for (CodecId c : encoded.codecs) {
+                 file_, static_cast<std::uint8_t>(codecs.size()));
+  for (CodecId c : codecs) {
     ok = ok && write_scalar<std::uint8_t>(file_,
                                           static_cast<std::uint8_t>(c));
   }
-  for (std::uint64_t s : encoded.sizes_before) {
+  for (std::uint64_t s : sizes_before) {
     ok = ok && write_scalar(file_, s);
   }
   ok = ok && write_scalar<std::uint64_t>(file_, raw_size) &&
-       write_scalar<std::uint64_t>(file_, encoded.data.size()) &&
+       write_scalar<std::uint64_t>(file_, payload.size()) &&
        write_scalar<std::uint32_t>(file_, crc) &&
-       write_bytes(file_, encoded.data.data(), encoded.data.size());
+       write_bytes(file_, payload.data(), payload.size());
   if (!ok) return io_error("short write in " + path_);
 
   raw_bytes_ += raw_size;
-  stored_bytes_ += encoded.data.size();
+  stored_bytes_ += payload.size();
   return Status::ok();
 }
 
@@ -225,67 +324,9 @@ Result<Dh5Reader> Dh5Reader::open(const std::string& path) {
   // Dataset headers.
   r.entries_.reserve(count);
   for (std::uint64_t off : offsets) {
-    if (std::fseek(f, static_cast<long>(off), SEEK_SET) != 0) {
-      return corrupt_data(path + ": bad dataset offset");
-    }
-    char dmagic[4];
-    if (!read_bytes(f, dmagic, 4) ||
-        std::memcmp(dmagic, kDsetMagic, 4) != 0) {
-      return corrupt_data(path + ": bad dataset magic");
-    }
     DatasetEntry e;
-    std::uint16_t name_len;
-    if (!read_scalar(f, name_len)) return corrupt_data(path + ": truncated");
-    e.info.name.resize(name_len);
-    if (!read_bytes(f, e.info.name.data(), name_len)) {
-      return corrupt_data(path + ": truncated name");
-    }
-    std::uint8_t dtype, ndims, ncodecs;
-    if (!read_scalar(f, e.info.iteration) ||
-        !read_scalar(f, e.info.source) || !read_scalar(f, dtype) ||
-        !read_scalar(f, ndims)) {
-      return corrupt_data(path + ": truncated header");
-    }
-    if (dtype > static_cast<std::uint8_t>(DataType::kFloat64)) {
-      return corrupt_data(path + ": unknown dtype");
-    }
-    e.info.layout.type = static_cast<DataType>(dtype);
-    e.info.layout.dims.resize(ndims);
-    for (auto& d : e.info.layout.dims) {
-      if (!read_scalar(f, d)) return corrupt_data(path + ": truncated dims");
-    }
-    if (!read_scalar(f, ncodecs)) return corrupt_data(path + ": truncated");
-    e.codecs.resize(ncodecs);
-    for (auto& c : e.codecs) {
-      std::uint8_t id;
-      if (!read_scalar(f, id)) return corrupt_data(path + ": truncated");
-      c = static_cast<CodecId>(id);
-    }
-    e.sizes_before.resize(ncodecs);
-    for (auto& s : e.sizes_before) {
-      if (!read_scalar(f, s)) return corrupt_data(path + ": truncated");
-    }
-    if (!read_scalar(f, e.raw_size) || !read_scalar(f, e.stored_size) ||
-        !read_scalar(f, e.crc)) {
-      return corrupt_data(path + ": truncated sizes");
-    }
-    const long payload = std::ftell(f);
-    if (payload < 0) return io_error("ftell failed");
-    e.payload_offset = static_cast<std::uint64_t>(payload);
-    // Size sanity: a corrupted header must not drive the reader into
-    // huge allocations. Payload must fit in the file, and the decoded
-    // sizes cannot exceed what the codec stages could possibly expand
-    // to (LZ77's worst-case expansion is ~44x per stage; 512x total is
-    // a generous cap).
-    const std::uint64_t max_decoded = e.stored_size * 512 + 4096;
-    if (e.payload_offset + e.stored_size > file_size ||
-        e.raw_size > max_decoded) {
-      return corrupt_data(path + ": implausible dataset sizes");
-    }
-    for (std::uint64_t s : e.sizes_before) {
-      if (s > max_decoded) {
-        return corrupt_data(path + ": implausible stage size");
-      }
+    if (Status st = read_header(f, off, file_size, path, e); !st.is_ok()) {
+      return st;
     }
     r.entries_.push_back(std::move(e));
   }
@@ -294,24 +335,7 @@ Result<Dh5Reader> Dh5Reader::open(const std::string& path) {
 
 Result<std::vector<std::byte>> Dh5Reader::read(std::size_t index) {
   if (index >= entries_.size()) return invalid_argument("bad dataset index");
-  const DatasetEntry& e = entries_[index];
-  if (std::fseek(file_, static_cast<long>(e.payload_offset), SEEK_SET) != 0) {
-    return io_error("seek failed");
-  }
-  std::vector<std::byte> stored(e.stored_size);
-  if (!read_bytes(file_, stored.data(), stored.size())) {
-    return corrupt_data("short payload read");
-  }
-  if (crc32(stored) != e.crc) {
-    return corrupt_data("crc mismatch in dataset '" + e.info.name + "'");
-  }
-  if (e.codecs.empty()) {
-    if (stored.size() != e.raw_size) {
-      return corrupt_data("raw size mismatch");
-    }
-    return stored;
-  }
-  return Pipeline::decode(stored, e.codecs, e.sizes_before);
+  return read_payload(file_, entries_[index]);
 }
 
 std::optional<std::size_t> Dh5Reader::find(const std::string& name,
@@ -325,6 +349,27 @@ std::optional<std::size_t> Dh5Reader::find(const std::string& name,
     }
   }
   return std::nullopt;
+}
+
+Result<std::vector<std::byte>> read_dataset(const std::string& path,
+                                            std::uint64_t header_offset) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  const std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "rb"));
+  if (!f) return io_error("cannot open " + path);
+  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
+    return corrupt_data(path + ": seek failed");
+  }
+  const long end = std::ftell(f.get());
+  if (end < 0) return io_error("ftell failed");
+  DatasetEntry e;
+  if (Status st = read_header(f.get(), header_offset,
+                              static_cast<std::uint64_t>(end), path, e);
+      !st.is_ok()) {
+    return st;
+  }
+  return read_payload(f.get(), e);
 }
 
 }  // namespace dmr::format

@@ -45,6 +45,8 @@ struct DatasetEntry {
   std::uint64_t raw_size = 0;
   std::uint64_t stored_size = 0;
   std::uint32_t crc = 0;
+  /// Offsets of the dataset's header ("DSET") and payload in the file.
+  std::uint64_t header_offset = 0;
   std::uint64_t payload_offset = 0;
 };
 
@@ -61,7 +63,8 @@ class Dh5Writer {
   /// Creates/truncates `path` and writes the superblock.
   static Result<Dh5Writer> create(const std::string& path);
 
-  /// Encodes `raw` through `pipeline` and appends it as a dataset.
+  /// Encodes `raw` through `pipeline` and appends it as a dataset. An
+  /// empty pipeline writes `raw` as it is, without an intermediate copy.
   Status add_dataset(const DatasetInfo& info, std::span<const std::byte> raw,
                      const Pipeline& pipeline = Pipeline::identity());
 
@@ -81,6 +84,14 @@ class Dh5Writer {
   std::uint64_t stored_bytes() const { return stored_bytes_; }
 
  private:
+  /// The one append path: writes the dataset header (with the CRC of
+  /// `payload`) and then `payload`, which `codecs` produced from
+  /// `raw_size` bytes.
+  Status append(const DatasetInfo& info, std::span<const std::byte> payload,
+                std::span<const CodecId> codecs,
+                std::span<const std::uint64_t> sizes_before,
+                std::uint64_t raw_size);
+
   std::FILE* file_ = nullptr;
   std::string path_;
   std::vector<std::uint64_t> offsets_;
@@ -115,5 +126,13 @@ class Dh5Reader {
   std::FILE* file_ = nullptr;
   std::vector<DatasetEntry> entries_;
 };
+
+/// Reads and fully decodes the dataset whose header starts at
+/// `header_offset` (DatasetEntry::header_offset) in the file at `path`,
+/// verifying its CRC: one open, one header parse and one payload read,
+/// without parsing the file's index. Holds no shared state, so
+/// concurrent calls are safe.
+Result<std::vector<std::byte>> read_dataset(const std::string& path,
+                                            std::uint64_t header_offset);
 
 }  // namespace dmr::format

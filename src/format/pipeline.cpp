@@ -12,15 +12,19 @@ bool Pipeline::lossless_only() const {
 
 EncodedBuffer Pipeline::encode(std::span<const std::byte> input) const {
   EncodedBuffer out;
-  std::vector<std::byte> current(input.begin(), input.end());
+  // The first stage reads `input` directly; later stages read the
+  // previous stage's output.
+  std::span<const std::byte> in = input;
   for (CodecId id : stages_) {
     const Codec* c = codec_for(id);
     if (!c) continue;  // unknown stage: skip (encode must not fail)
     out.codecs.push_back(id);
-    out.sizes_before.push_back(current.size());
-    current = c->encode(current);
+    out.sizes_before.push_back(in.size());
+    out.data = c->encode(in);
+    in = out.data;
   }
-  out.data = std::move(current);
+  // No stage ran: the result still owns a copy of the input.
+  if (out.codecs.empty()) out.data.assign(input.begin(), input.end());
   return out;
 }
 
@@ -34,13 +38,18 @@ Result<std::vector<std::byte>> Pipeline::decode(
   if (codecs.size() != sizes_before.size()) {
     return corrupt_data("pipeline: stage/size arity mismatch");
   }
-  std::vector<std::byte> current(data.begin(), data.end());
+  if (codecs.empty()) return std::vector<std::byte>(data.begin(), data.end());
+  // The last stage decodes `data` directly; earlier stages decode the
+  // previous output.
+  std::vector<std::byte> current;
+  std::span<const std::byte> in = data;
   for (std::size_t i = codecs.size(); i-- > 0;) {
     const Codec* c = codec_for(codecs[i]);
     if (!c) return corrupt_data("pipeline: unknown codec id");
-    auto decoded = c->decode(current, sizes_before[i]);
+    auto decoded = c->decode(in, sizes_before[i]);
     if (!decoded.is_ok()) return decoded.status();
     current = std::move(decoded.value());
+    in = current;
   }
   return current;
 }

@@ -30,6 +30,7 @@ Result<Catalog> Catalog::scan(const std::string& dir) {
       Entry e;
       e.file = path;
       e.dataset_index = i;
+      e.header_offset = entries[i].header_offset;
       e.info = entries[i].info;
       e.raw_size = entries[i].raw_size;
       e.stored_size = entries[i].stored_size;
@@ -67,9 +68,7 @@ std::vector<const Catalog::Entry*> Catalog::find(
 }
 
 Result<std::vector<std::byte>> Catalog::read(const Entry& entry) const {
-  auto reader = format::Dh5Reader::open(entry.file);
-  if (!reader.is_ok()) return reader.status();
-  return reader.value().read(entry.dataset_index);
+  return format::read_dataset(entry.file, entry.header_offset);
 }
 
 std::uint64_t Catalog::total_raw_bytes() const {

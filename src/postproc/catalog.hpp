@@ -26,6 +26,7 @@ class Catalog {
   struct Entry {
     std::string file;
     std::size_t dataset_index = 0;  // within the file
+    std::uint64_t header_offset = 0;  // of its "DSET" header in the file
     format::DatasetInfo info;
     std::uint64_t raw_size = 0;
     std::uint64_t stored_size = 0;
@@ -50,7 +51,8 @@ class Catalog {
   std::vector<const Entry*> find(const std::string& variable,
                                  std::int64_t iteration) const;
 
-  /// Reads and decodes one entry's payload.
+  /// Reads, CRC-checks and decodes one entry's payload: one open of its
+  /// file, one header parse, one payload read. Safe to call concurrently.
   Result<std::vector<std::byte>> read(const Entry& entry) const;
 
   /// Total raw vs stored bytes across the catalog (compression summary).

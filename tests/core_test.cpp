@@ -306,6 +306,47 @@ TEST_F(NodeFixture, UnflushedIterationPersistedOnStop) {
   EXPECT_EQ(node_->stats().persistency.files_written, 1u);
 }
 
+// A variable without a codec pipeline is written straight from shm: its
+// Transform op costs nothing and passes the bytes through unchanged,
+// while the data on disk is still the client's payload.
+TEST_F(NodeFixture, IdentityPersistSkipsTransform) {
+  ASSERT_TRUE(node_->start().is_ok());
+  const auto data = field(7.0f);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      Client cl = node_->client(c);
+      for (int it = 0; it < 2; ++it) {
+        ASSERT_TRUE(cl.write("temperature", it, data).is_ok());
+        ASSERT_TRUE(cl.end_iteration(it).is_ok());
+      }
+      ASSERT_TRUE(cl.finalize().is_ok());
+    });
+  }
+  for (auto& t : clients) t.join();
+  ASSERT_TRUE(node_->stop().is_ok());
+
+  const auto stats = node_->stats();
+  const Bytes total = 6 * data.size();
+  const auto& transform = stats.stages.of(iopath::StageKind::kTransform);
+  EXPECT_EQ(transform.ops, 6u);  // one per dataset
+  EXPECT_EQ(transform.seconds, 0.0);
+  EXPECT_EQ(transform.bytes_in, total);
+  EXPECT_EQ(transform.bytes_out, total);
+  EXPECT_EQ(stats.persistency.datasets_written, 6u);
+  EXPECT_EQ(stats.persistency.raw_bytes, total);
+  EXPECT_EQ(stats.persistency.stored_bytes, total);
+
+  auto reader = format::Dh5Reader::open(dir_.string() + "/test_node0_it1.dh5");
+  ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
+  auto idx = reader.value().find("temperature", 1, 2);
+  ASSERT_TRUE(idx.has_value());
+  EXPECT_TRUE(reader.value().entries()[*idx].codecs.empty());
+  auto payload = reader.value().read(*idx);
+  ASSERT_TRUE(payload.is_ok());
+  EXPECT_EQ(payload.value(), data);
+}
+
 TEST_F(NodeFixture, CompressionRatioReported) {
   ASSERT_TRUE(node_->start().is_ok());
   std::vector<std::thread> clients;

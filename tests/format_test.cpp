@@ -109,6 +109,40 @@ TEST(Crc32, DetectsBitFlip) {
   EXPECT_NE(crc32(data), before);
 }
 
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial: no
+/// tables, so it shares nothing with the implementation under test.
+std::uint32_t crc32_bitwise(std::span<const std::byte> data,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const auto buf = random_bytes(300 + 16, 21);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::byte> s(buf.data() + offset, len);
+      ASSERT_EQ(crc32(s), crc32_bitwise(s))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalAtEverySplit) {
+  const auto buf = random_bytes(1024, 22);
+  const std::span<const std::byte> all(buf);
+  const std::uint32_t whole = crc32_bitwise(all);
+  ASSERT_EQ(crc32(all), whole);
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    ASSERT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+        << "split " << split;
+  }
+}
+
 // ----------------------------------------------------------------- codecs
 
 class CodecRoundTrip : public ::testing::TestWithParam<CodecId> {};
@@ -498,6 +532,49 @@ TEST_F(Dh5Test, CorruptPayloadDetectedByCrc) {
   auto data = r.value().read(0);
   EXPECT_FALSE(data.is_ok());
   EXPECT_EQ(data.status().code(), ErrorCode::kCorruptData);
+}
+
+// Pins the on-disk bytes of a fixed file holding one identity and one
+// lossless dataset: any change to the container layout, the CRC or the
+// codecs changes the digest. Inputs use exact integer-derived floats so
+// the file does not depend on the host's libm.
+TEST_F(Dh5Test, GoldenFileBytes) {
+  std::vector<float> small(8 * 8 * 4), large(16 * 16 * 8);
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    small[i] = 300.0f + 0.25f * static_cast<float>((i * 7) % 50);
+  }
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = -2.0f + 0.125f * static_cast<float>((i / 8) % 40);
+  }
+  {
+    auto w = Dh5Writer::create(path());
+    ASSERT_TRUE(w.is_ok());
+    DatasetInfo info;
+    info.name = "temperature";
+    info.iteration = 12;
+    info.source = 3;
+    info.layout = {DataType::kFloat32, {8, 8, 4}};
+    ASSERT_TRUE(w.value().add_dataset(info, float_bytes(small)).is_ok());
+    info.name = "u";
+    info.source = 1;
+    info.layout = {DataType::kFloat32, {16, 16, 8}};
+    ASSERT_TRUE(w.value()
+                    .add_dataset(info, float_bytes(large), Pipeline::lossless())
+                    .is_ok());
+    ASSERT_TRUE(w.value().finalize().is_ok());
+  }
+  std::FILE* f = std::fopen(path().c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a 64
+  std::size_t size = 0;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f), ++size) {
+    digest = (digest ^ static_cast<std::uint64_t>(c)) * 1099511628211ull;
+  }
+  std::fclose(f);
+  // Digest of the file as written before the slicing-by-16 CRC and the
+  // copy-free identity append; both must leave the bytes unchanged.
+  EXPECT_EQ(size, 1556u);
+  EXPECT_EQ(digest, 0x33cfc668308115dbull);
 }
 
 TEST_F(Dh5Test, MissingFileFailsCleanly) {

@@ -173,6 +173,39 @@ TEST_F(PostprocFixture, AssembleErrors) {
   EXPECT_FALSE(assemble_field(cat.value(), "theta", 0, 0, 2).is_ok());
 }
 
+// read() reuses the header offset recorded at scan() but re-checks the
+// payload: a byte flipped on disk after the scan must fail the CRC.
+TEST_F(PostprocFixture, ByteFlippedAfterScanFailsRead) {
+  write_fpp(0);
+  auto cat = Catalog::scan(dir_.string());
+  ASSERT_TRUE(cat.is_ok());
+  const auto blocks = cat.value().find("theta", 0);
+  ASSERT_EQ(blocks.size(), 4u);
+  const Catalog::Entry& victim = *blocks[1];
+  ASSERT_TRUE(cat.value().read(victim).is_ok());
+  std::uint64_t payload_offset = 0;
+  {
+    auto reader = format::Dh5Reader::open(victim.file);
+    ASSERT_TRUE(reader.is_ok());
+    payload_offset = reader.value().entries()[victim.dataset_index].payload_offset;
+  }
+
+  std::FILE* f = std::fopen(victim.file.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const long at = static_cast<long>(payload_offset + victim.stored_size / 2);
+  std::fseek(f, at, SEEK_SET);
+  const int c = std::fgetc(f);
+  std::fseek(f, at, SEEK_SET);
+  std::fputc(c ^ 0x5A, f);
+  std::fclose(f);
+
+  auto data = cat.value().read(victim);
+  EXPECT_FALSE(data.is_ok());
+  EXPECT_EQ(data.status().code(), ErrorCode::kCorruptData);
+  // The other sources live in other files and still read back.
+  EXPECT_TRUE(cat.value().read(*blocks[0]).is_ok());
+}
+
 TEST(CatalogErrors, MissingDirectory) {
   EXPECT_FALSE(Catalog::scan("/nonexistent/damaris_out").is_ok());
 }
