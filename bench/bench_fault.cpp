@@ -15,8 +15,11 @@
 //                    ledger must be clean (no leaks, no lost or
 //                    double-persisted blocks) and both runs must agree;
 //   - crash          a dedicated-core crash/restart at iteration 8;
-//   - queue_close    the shard queue closes after iteration 12 — late
-//                    writes fall back to the synchronous path.
+//   - queue_close    the shard queue closes after iteration 12. Its
+//                    clients are paced one iteration behind the
+//                    dedicated core, so the writes after the close meet
+//                    the closed queue and fall back to the synchronous
+//                    path, on the client's own thread.
 //
 // Usage: bench_fault [output.json] [--check]
 //   --check exits nonzero unless the acceptance scenario holds (used by
@@ -68,10 +71,24 @@ struct Outcome {
   std::string checker_report;
 };
 
+/// Waits (bounded) until the node has recorded `iteration` as complete.
+void await_iteration(const core::DamarisNode& node, std::int64_t iteration) {
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (Clock::now() < deadline) {
+    for (const core::IterationRecord& rec : node.stats().iterations) {
+      if (rec.iteration == iteration) return;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
 /// Runs the standard workload under `plan` + `resilience` and returns
-/// the aggregate outcome. Deterministic for a fixed plan seed.
+/// the aggregate outcome. Deterministic for a fixed plan seed. A `paced`
+/// client writes iteration it+1 only once the node has recorded
+/// iteration it, or its end_iteration(it) found the queue closed.
 Outcome run_scenario(const fault::FaultPlan& plan,
-                     const fault::ResilienceConfig& resilience) {
+                     const fault::ResilienceConfig& resilience,
+                     bool paced = false) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("bench_fault_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -105,7 +122,11 @@ Outcome run_scenario(const fault::FaultPlan& plan,
       core::Client client = node.client(c);
       for (int it = 0; it < kIterations; ++it) {
         if (!client.write("field", it, payload).is_ok()) ++failures[c];
-        if (!client.end_iteration(it).is_ok()) ++failures[c];
+        if (!client.end_iteration(it).is_ok()) {
+          ++failures[c];
+        } else if (paced) {
+          await_iteration(node, it);
+        }
       }
       if (!client.finalize().is_ok()) ++failures[c];
     });
@@ -311,7 +332,8 @@ int main(int argc, char** argv) {
   qs.window_start = 12;
   qs.window_length = 1;
   qclose.faults.push_back(qs);
-  const Outcome closed = run_scenario(qclose, policy_of("sync"));
+  const Outcome closed = run_scenario(qclose, policy_of("sync"),
+                                     /*paced=*/true);
   std::printf("queue_close:  recovered %5.1f%%  sync_files=%llu  checker=%s\n",
               closed.recovered_pct,
               static_cast<unsigned long long>(closed.sync_files),
@@ -344,6 +366,10 @@ int main(int argc, char** argv) {
     expect(deterministic, "identical seed gives identical results");
     expect(crashed.checker_clean, "crash scenario accounting clean");
     expect(closed.checker_clean, "queue-close scenario accounting clean");
+    expect(closed.sync_files >= 1,
+           "queue-close scenario: late writes take the sync fallback");
+    expect(closed.recovered_pct == 100.0,
+           "queue-close scenario recovers every write");
     expect(clean.recovered_pct == 100.0, "clean run recovers everything");
     std::printf("chaos check: %s\n", rc == 0 ? "PASS" : "FAIL");
     return rc;

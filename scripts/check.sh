@@ -20,6 +20,12 @@
 # budgeted at ~60s). The lint step uses the regular `build/` tree's
 # compilation database and is skipped with a notice when clang-tidy is
 # not installed.
+#
+# A stage that cannot run here prints "SKIPPED (reason)"; the script
+# ends, pass or fail, with a summary listing every such stage, so a
+# skipped stage never reads as passed. When DMR_SKIP_LOG names a file,
+# each skipped stage is also appended to it (scripts/ci.sh collects them
+# into its own summary).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,8 +54,27 @@ for arg in "$@"; do
   esac
 done
 
-step() { printf '\n==== %s ====\n' "$*"; }
-skipped() { printf 'SKIPPED (%s)\n' "$*"; }
+CURRENT_STEP=""
+SKIPPED_STAGES=()
+step() { CURRENT_STEP="$*"; printf '\n==== %s ====\n' "$*"; }
+skipped() {
+  printf 'SKIPPED (%s)\n' "$*"
+  SKIPPED_STAGES+=("${CURRENT_STEP}: SKIPPED ($*)")
+  if [ -n "${DMR_SKIP_LOG:-}" ]; then
+    printf '%s: SKIPPED (%s)\n' "$CURRENT_STEP" "$*" >>"$DMR_SKIP_LOG"
+  fi
+}
+summary() {
+  local rc=$?
+  printf '\n==== check.sh summary ====\n'
+  if [ "${#SKIPPED_STAGES[@]}" = 0 ]; then
+    echo "no stage was skipped"
+  else
+    printf '%s\n' "${SKIPPED_STAGES[@]}"
+  fi
+  [ "$rc" = 0 ] || echo "check.sh FAILED (exit $rc) in: $CURRENT_STEP"
+}
+trap summary EXIT
 
 # Minimum toolchain versions for the optional clang-driven stages,
 # pinned in one place. Clang 11 shipped the mature -Wthread-safety
@@ -148,15 +173,20 @@ run_sanitized_ctest() {
 run_sanitized_ctest address build-asan "" dmr_tests
 if [ "$RUN_UBSAN" = 1 ]; then
   run_sanitized_ctest undefined build-ubsan "" dmr_tests
+else
+  step "ctest under undefined"
+  skipped "--fast"
 fi
 if [ "$RUN_TSAN" = 1 ]; then
   # The threaded suites: shared-memory layer, protocol checker, the
   # middleware tests that drive client/server threads, the lock-free
-  # trace ring's concurrent-writer tests, and one chaos scenario (a
-  # mixed fault plan driven by four real client threads).
+  # trace ring's concurrent-writer tests, one chaos scenario (a mixed
+  # fault plan driven by four real client threads), and the async
+  # ticket/worker layer (tickets, dependences, fences, inline blocking
+  # writes).
   run_sanitized_ctest thread build-tsan \
-    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|TraceRing|FaultChaos" \
-    shm_test check_test trace_test fault_test
+    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|TraceRing|FaultChaos|AsyncNodeFixture" \
+    shm_test check_test trace_test fault_test async_test
 fi
 
 # -------------------------------------------- shm-protocol model checking
@@ -269,4 +299,4 @@ if [ "$RUN_VERIFY" = 1 ]; then
     --json results/static_findings_verify.json
 fi
 
-step "all checks passed"
+step "all checks passed (${#SKIPPED_STAGES[@]} stage(s) skipped; see the summary)"

@@ -18,7 +18,10 @@
 #   scripts/ci.sh --no-verify   # skip the dmr_verify dataflow analyzer
 #
 # Extra flags are passed through to scripts/check.sh. Exits non-zero on
-# the first failing step.
+# the first failing step. Pass or fail, it ends with a summary of every
+# stage that did not run: opted out by a flag, or reported
+# "SKIPPED (reason)" by scripts/check.sh because this host lacks its
+# tool.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,7 +73,39 @@ if [ "$RUN_VERIFY" = 1 ]; then
   CHECK_ARGS+=("--verify")
 fi
 
-step() { printf '\n==== %s ====\n' "$*"; }
+CURRENT_STEP=""
+step() { CURRENT_STEP="$*"; printf '\n==== %s ====\n' "$*"; }
+
+# Skipped stages, one "stage: SKIPPED (reason)" line each; scripts/
+# check.sh appends its own through DMR_SKIP_LOG.
+DMR_SKIP_LOG="$(mktemp)"
+export DMR_SKIP_LOG
+opted_out() {
+  if [ "$1" = 0 ]; then
+    printf '%s: SKIPPED (%s)\n' "$2" "opted out by $3" >>"$DMR_SKIP_LOG"
+  fi
+}
+opted_out "$RUN_BENCH" "bench_pipeline + perfbench smoke tests" "--no-bench"
+opted_out "$RUN_DOCS" "docs drift" "--no-docs"
+opted_out "$RUN_MODEL" "model checker" "--no-model or --fast"
+opted_out "$RUN_CHAOS" "chaos (bench_fault --check)" "--no-chaos or --fast"
+opted_out "$RUN_SCHED" "sched (bench_sched --check)" "--no-sched or --fast"
+opted_out "$RUN_PLUGINS" "plugins (bench_plugin --check)" "--no-plugins or --fast"
+opted_out "$RUN_FACILITY" "facility (bench_facility --check)" "--no-facility or --fast"
+opted_out "$RUN_STATIC" "static gates (dmr_lint + -Wthread-safety)" "--no-static"
+opted_out "$RUN_VERIFY" "verify (dmr_verify)" "--no-verify"
+summary() {
+  local rc=$?
+  printf '\n==== ci.sh summary ====\n'
+  if [ -s "$DMR_SKIP_LOG" ]; then
+    cat "$DMR_SKIP_LOG"
+  else
+    echo "no stage was skipped"
+  fi
+  rm -f "$DMR_SKIP_LOG"
+  [ "$rc" = 0 ] || echo "ci.sh FAILED (exit $rc) in: $CURRENT_STEP"
+}
+trap summary EXIT
 
 # ------------------------------------------------------- tier-1: ctest
 # The plain-build test run every PR must keep green (ROADMAP.md).

@@ -14,24 +14,26 @@
 //   Status st = batch.wait_all();                    // or t2.wait()
 //
 // Semantics:
-//  - Submission order per client is execution order (a per-client FIFO
-//    worker), except that a ticket with dependences (`after`) holds the
-//    worker until each dependence completes. Dependences may come from
-//    other clients or nodes; cycles are impossible by construction — a
-//    ticket can only depend on tickets that already exist.
+//  - Submission order per client is execution order: a client's first
+//    write_async() starts its FIFO worker thread, and a ticket with
+//    dependences (`after`) holds that worker until each dependence
+//    completes. Dependences may come from other clients or nodes;
+//    cycles are impossible by construction — a ticket can only depend
+//    on tickets that already exist.
 //  - The payload is copied at submission, so the caller's buffer is
 //    free the moment write_async() returns (the dc_alloc/dc_commit pair
 //    remains the zero-copy path).
 //  - A completion callback runs on the worker thread after the final
 //    Status/WriteOutcome are set and *before* the ticket reports done —
 //    wait() returning (or done() turning true) implies the callback has
-//    finished.
-//  - The blocking Client::write()/write_sized()/commit() are thin
-//    wrappers: submit + wait() on the same path, so there is exactly
-//    one write code path (pinned by the pipeline-equivalence goldens).
-//  - Client::end_iteration()/finalize() fence: they wait for the
-//    client's outstanding tickets first, preserving the blocking API's
-//    ordering guarantees for mixed async/blocking programs.
+//    finished. A ticket that fails validation is born completed, and
+//    its callback runs inline on the submitting thread.
+//  - The blocking Client::write()/write_sized()/commit() run on the
+//    caller's thread and start no worker. They first wait for the
+//    client's outstanding tickets, then call the same timed write
+//    function the worker calls for each ticket. end_iteration() and
+//    finalize() fence the same way, so mixed async/blocking programs
+//    keep the blocking API's ordering.
 //
 // Thread-safety: WriteTicket and WriteBatch are value types sharing an
 // internal state block guarded by its own mutex (annotated for
@@ -47,7 +49,6 @@
 
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
-#include "des/task.hpp"
 
 namespace dmr::core {
 
@@ -88,7 +89,8 @@ using TicketStatePtr = std::shared_ptr<TicketState>;
 
 }  // namespace detail
 
-/// Completion callback; runs on the submission worker thread.
+/// Completion callback; runs on the submission worker thread (inline on
+/// the submitting thread for a ticket that failed validation).
 using WriteCallback = std::function<void(const WriteTicket&)>;
 
 /// Handle to one asynchronous write. Copyable and cheap; all copies
@@ -129,8 +131,9 @@ struct AsyncWriteOptions {
   /// Tickets that must complete before this write executes (ordering
   /// dependences, possibly across clients or nodes).
   std::vector<WriteTicket> after;
-  /// Runs on the worker thread once Status/WriteOutcome are final,
-  /// before the ticket reports done.
+  /// Runs on the worker thread (or inline, for a ticket that failed
+  /// validation) once Status/WriteOutcome are final, before the ticket
+  /// reports done.
   WriteCallback on_complete;
 };
 
@@ -153,38 +156,5 @@ class WriteBatch {
  private:
   std::vector<WriteTicket> tickets_;
 };
-
-/// Drives a des::Task<T> chain to completion on the calling thread and
-/// returns its result. The write path's tasks only suspend into each
-/// other (all real blocking is plain thread blocking inside a stage),
-/// so a root resume runs the whole chain; this is what lets the
-/// threaded middleware and the DES simulator share one task-shaped
-/// write path.
-template <typename T>
-T run_task(des::Task<T> task) {
-  struct Driver {
-    struct promise_type {
-      std::optional<T> value;
-      Driver get_return_object() {
-        return Driver{
-            std::coroutine_handle<promise_type>::from_promise(*this)};
-      }
-      std::suspend_never initial_suspend() noexcept { return {}; }
-      // Suspend at the end so the frame (and `value`) survives until
-      // the caller reads it.
-      std::suspend_always final_suspend() noexcept { return {}; }
-      void return_value(T v) { value.emplace(std::move(v)); }
-      void unhandled_exception() { std::terminate(); }
-    };
-    std::coroutine_handle<promise_type> handle;
-    ~Driver() {
-      if (handle) handle.destroy();
-    }
-  };
-  auto drive = [](des::Task<T>& t) -> Driver { co_return co_await t; };
-  Driver d = drive(task);
-  assert(d.handle.done() && d.handle.promise().value.has_value());
-  return std::move(*d.handle.promise().value);
-}
 
 }  // namespace dmr::core

@@ -567,6 +567,15 @@ Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
   }
 }
 
+Status DamarisNode::check_client(int client) const {
+  if (client < 0 || client >= num_clients_) {
+    return invalid_argument("client id " + std::to_string(client) +
+                            " out of range [0, " +
+                            std::to_string(num_clients_) + ")");
+  }
+  return Status::ok();
+}
+
 Status Client::write(const std::string& variable, std::int64_t iteration,
                      std::span<const std::byte> data) {
   const format::Layout* layout = node_->cfg_.layout_of(variable);
@@ -582,13 +591,13 @@ Status Client::write(const std::string& variable, std::int64_t iteration,
 Status Client::write_sized(const std::string& variable,
                            std::int64_t iteration,
                            std::span<const std::byte> data) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   const std::uint32_t id = node_->name_id(variable);
   if (id == ~0u) return not_found("variable '" + variable + "' unknown");
-  // The blocking API is submit + wait on the async path. No payload
-  // copy: the caller's buffer outlives the wait.
-  return node_
-      ->submit_copy_write(id_, id, iteration, data, /*copy=*/false, {})
-      .wait();
+  // Ordered after this client's pending async tickets, then run here.
+  node_->drain_async(id_);
+  WriteOutcome outcome = WriteOutcome::kPending;
+  return node_->timed_write(id_, id, iteration, data, nullptr, &outcome);
 }
 
 WriteTicket Client::write_async(const std::string& variable,
@@ -615,13 +624,15 @@ WriteTicket Client::write_sized_async(const std::string& variable,
                                       std::int64_t iteration,
                                       std::span<const std::byte> data,
                                       AsyncWriteOptions opts) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) {
+    return node_->failed_ticket(st, opts.on_complete);
+  }
   const std::uint32_t id = node_->name_id(variable);
   if (id == ~0u) {
     return node_->failed_ticket(not_found("variable '" + variable + "' unknown"),
                                 opts.on_complete);
   }
-  return node_->submit_copy_write(id_, id, iteration, data, /*copy=*/true,
-                                  std::move(opts));
+  return node_->submit(id_, id, iteration, data, std::move(opts));
 }
 
 // ------------------------------------------------- async submission path
@@ -630,12 +641,23 @@ WriteTicket DamarisNode::failed_ticket(const Status& status,
                                        const WriteCallback& cb) {
   auto state = std::make_shared<detail::TicketState>(
       ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+  complete_ticket(state, status, WriteOutcome::kFailed, cb);
+  return WriteTicket(std::move(state));
+}
+
+void DamarisNode::complete_ticket(const detail::TicketStatePtr& state,
+                                  const Status& status, WriteOutcome outcome,
+                                  const WriteCallback& cb) {
+  // Ordering contract (core/async.hpp): publish Status/outcome, run the
+  // callback, and only then flip done — wait() returning implies the
+  // callback finished.
+  const std::uint64_t seq =
+      ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
   {
     MutexLock lock(state->mutex);
     state->status = status;
-    state->outcome = WriteOutcome::kFailed;
-    state->completion_seq =
-        ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
+    state->outcome = outcome;
+    state->completion_seq = seq;
   }
   if (cb) cb(WriteTicket(state));
   {
@@ -643,57 +665,27 @@ WriteTicket DamarisNode::failed_ticket(const Status& status,
     state->done = true;
   }
   state->cv.notify_all();
-  return WriteTicket(std::move(state));
 }
 
-WriteTicket DamarisNode::submit_copy_write(int client, std::uint32_t name_id,
-                                           std::int64_t iteration,
-                                           std::span<const std::byte> data,
-                                           bool copy, AsyncWriteOptions opts) {
+WriteTicket DamarisNode::submit(int client, std::uint32_t name_id,
+                                std::int64_t iteration,
+                                std::span<const std::byte> data,
+                                AsyncWriteOptions opts) {
+  auto state = std::make_shared<detail::TicketState>(
+      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   AsyncSubmission sub;
-  sub.kind = AsyncSubmission::Kind::kCopyWrite;
+  sub.state = state;
   sub.name_id = name_id;
   sub.iteration = iteration;
-  if (copy) {
-    sub.owned.assign(data.begin(), data.end());
-    sub.view = std::span<const std::byte>(sub.owned);
-  } else {
-    sub.view = data;
-  }
+  sub.payload.assign(data.begin(), data.end());
   sub.deps.reserve(opts.after.size());
   for (const WriteTicket& dep : opts.after) {
     if (dep.state_ != nullptr) sub.deps.push_back(dep.state_);
   }
   sub.on_complete = std::move(opts.on_complete);
-  return submit(client, std::move(sub));
-}
-
-WriteTicket DamarisNode::submit_publish(int client, std::uint32_t name_id,
-                                        std::int64_t iteration,
-                                        shm::Block block) {
-  AsyncSubmission sub;
-  sub.kind = AsyncSubmission::Kind::kPublishBlock;
-  sub.name_id = name_id;
-  sub.iteration = iteration;
-  sub.block = block;
-  return submit(client, std::move(sub));
-}
-
-WriteTicket DamarisNode::submit(int client, AsyncSubmission sub) {
-  if (client < 0 || client >= num_clients_) {
-    return failed_ticket(
-        invalid_argument("client id " + std::to_string(client) +
-                         " out of range"),
-        sub.on_complete);
-  }
-  auto state = std::make_shared<detail::TicketState>(
-      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  sub.state = state;
   AsyncWorker* worker = async_worker(client);
   {
     MutexLock lock(worker->mutex);
-    // `owned` moves with the submission; re-anchor the view on arrival.
-    if (!sub.owned.empty()) sub.view = std::span<const std::byte>(sub.owned);
     worker->queue.push_back(std::move(sub));
   }
   worker->cv.notify_all();
@@ -722,7 +714,6 @@ void DamarisNode::async_worker_main(int client, AsyncWorker& worker) {
       if (worker.queue.empty()) return;  // stopping and fully drained
       sub = std::move(worker.queue.front());
       worker.queue.pop_front();
-      if (!sub.owned.empty()) sub.view = std::span<const std::byte>(sub.owned);
       worker.in_flight = true;
     }
     // Honour dependences before touching shared memory. Cycles are
@@ -731,7 +722,10 @@ void DamarisNode::async_worker_main(int client, AsyncWorker& worker) {
       MutexLock lock(dep->mutex);
       while (!dep->done) dep->cv.wait(dep->mutex);
     }
-    execute_submission(client, sub);
+    WriteOutcome outcome = WriteOutcome::kFailed;
+    const Status st = timed_write(client, sub.name_id, sub.iteration,
+                                  sub.payload, nullptr, &outcome);
+    complete_ticket(sub.state, st, outcome, sub.on_complete);
     {
       MutexLock lock(worker.mutex);
       worker.in_flight = false;
@@ -740,54 +734,10 @@ void DamarisNode::async_worker_main(int client, AsyncWorker& worker) {
   }
 }
 
-void DamarisNode::execute_submission(int client, AsyncSubmission& sub) {
-  const auto t0 = Clock::now();
-  WriteOutcome outcome = WriteOutcome::kFailed;
-  Status st;
-  Bytes bytes = 0;
-  if (sub.kind == AsyncSubmission::Kind::kCopyWrite) {
-    st = client_write(client, sub.name_id, sub.iteration, sub.view, &outcome);
-    bytes = sub.view.size();
-  } else {
-    st = publish_block(client, sub.name_id, sub.iteration, sub.block, &outcome);
-    bytes = sub.block.size;
-  }
-  const double dt = seconds_since(t0);
-  if (st.is_ok()) {
-    MutexLock lock(stats_mutex_);
-    ClientStats& cs = client_stats_[client];
-    ++cs.writes;
-    cs.bytes_written += bytes;
-    cs.write_seconds += dt;
-    cs.max_write_seconds = std::max(cs.max_write_seconds, dt);
-  }
-  // Ordering contract (core/async.hpp): publish Status/outcome, run the
-  // callback, and only then flip done — wait() returning implies the
-  // callback finished.
-  const std::uint64_t seq =
-      ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    MutexLock lock(sub.state->mutex);
-    sub.state->status = st;
-    sub.state->outcome = outcome;
-    sub.state->completion_seq = seq;
-  }
-  if (sub.on_complete) sub.on_complete(WriteTicket(sub.state));
-  {
-    MutexLock lock(sub.state->mutex);
-    sub.state->done = true;
-  }
-  sub.state->cv.notify_all();
-}
-
 void DamarisNode::drain_async(int client) {
   AsyncWorker* worker = nullptr;
   {
     MutexLock lock(async_mutex_);
-    if (client < 0 ||
-        client >= static_cast<int>(async_workers_.size())) {
-      return;
-    }
     worker = async_workers_[static_cast<std::size_t>(client)].get();
   }
   if (worker == nullptr) return;
@@ -815,92 +765,86 @@ void DamarisNode::stop_async_workers() {
   }
 }
 
-// --------------------------------------------- the write path as tasks
+// ------------------------------------------------------- the write path
 
-des::Task<Result<shm::Block>> DamarisNode::ingest_stage(int client,
-                                                        std::int64_t iteration,
-                                                        Bytes size) {
-  // Three ways this can come back without a block, all funnelled
-  // through the degrade controller: an injected exhaustion window, a
-  // real exhaustion (timeout), or — in an already-degraded mode — a
-  // single failed probe (no blocking wait: a degraded client must not
-  // stall the simulation).
-  if (injector_ != nullptr &&
-      injector_->fires_window(fault::Site::kShmExhaust,
-                              static_cast<double>(iteration))) {
-    co_return out_of_memory("injected shm exhaustion window at iteration " +
-                            std::to_string(iteration));
-  }
-  if (degrade_->mode() != fault::DegradeMode::kNormal) {
-    co_return buffer_->allocate(size, client);
-  }
-  co_return blocking_allocate(size, client);
-}
-
-des::Task<Status> DamarisNode::publish_stage(int client,
-                                             std::uint32_t name_id,
-                                             std::int64_t iteration,
-                                             std::span<const std::byte> data,
-                                             shm::Block block,
-                                             WriteOutcome* outcome) {
-  std::memcpy(buffer_->data(block), data.data(), data.size());
-  buffer_->note_write(block);
-
-  shm::Message msg;
-  msg.type = shm::MessageType::kWriteNotification;
-  msg.client_id = client;
-  msg.iteration = iteration;
-  msg.name_id = name_id;
-  msg.block = block;
-  if (shards_[shard_of(client)]->queue.push(msg)) {
-    degrade_->on_clear();
-    if (opts_.fault_checker != nullptr) {
-      opts_.fault_checker->note_write(client, iteration,
-                                      check::WriteOutcome::kPublished);
-    }
+Status DamarisNode::timed_write(int client, std::uint32_t name_id,
+                                std::int64_t iteration,
+                                std::span<const std::byte> data,
+                                const shm::Block* staged,
+                                WriteOutcome* outcome) {
+  const auto t0 = Clock::now();
+  Status st;
+  if (staged == nullptr) {
+    st = client_write(client, name_id, iteration, data, outcome);
+  } else if (publish(client, name_id, iteration, *staged)) {
     *outcome = WriteOutcome::kPublished;
-    co_return Status::ok();
+  } else {
+    *outcome = WriteOutcome::kFailed;
+    st = resource_busy("commit of '" + names_.at(name_id) +
+                       "' dropped: server queue already closed");
   }
-  // Dropped: the server is shutting down and will never consume this
-  // block, so the pusher must release it or it leaks until shutdown.
-  buffer_->deallocate(block);
-  const Status cause =
-      resource_busy("write of '" + names_.at(name_id) +
-                    "' dropped: server queue already closed");
-  co_return degraded_write(client, name_id, iteration, data,
-                           degrade_->on_pressure(), cause, outcome);
-}
-
-des::Task<Status> DamarisNode::write_task(int client, std::uint32_t name_id,
-                                          std::int64_t iteration,
-                                          std::span<const std::byte> data,
-                                          WriteOutcome* outcome) {
-  Result<shm::Block> block = co_await ingest_stage(client, iteration,
-                                                   data.size());
-  if (!block.is_ok()) {
-    if (block.status().code() != ErrorCode::kOutOfMemory) {
-      *outcome = WriteOutcome::kFailed;
-      co_return block.status();
-    }
-    co_return degraded_write(client, name_id, iteration, data,
-                             degrade_->on_pressure(), block.status(), outcome);
+  const double dt = seconds_since(t0);
+  if (st.is_ok()) {
+    MutexLock lock(stats_mutex_);
+    ClientStats& cs = client_stats_[client];
+    ++cs.writes;
+    cs.bytes_written += staged != nullptr ? staged->size : data.size();
+    cs.write_seconds += dt;
+    cs.max_write_seconds = std::max(cs.max_write_seconds, dt);
   }
-  co_return co_await publish_stage(client, name_id, iteration, data,
-                                   block.value(), outcome);
+  return st;
 }
 
 Status DamarisNode::client_write(int client, std::uint32_t name_id,
                                  std::int64_t iteration,
                                  std::span<const std::byte> data,
                                  WriteOutcome* outcome) {
-  return run_task(write_task(client, name_id, iteration, data, outcome));
+  // Three ways to come back without a block, all funnelled through the
+  // degrade controller: an injected exhaustion window, a real
+  // exhaustion (timeout), or — in an already-degraded mode — a single
+  // failed probe (no blocking wait: a degraded client must not stall the
+  // simulation).
+  Result<shm::Block> block = [&]() -> Result<shm::Block> {
+    if (injector_ != nullptr &&
+        injector_->fires_window(fault::Site::kShmExhaust,
+                                static_cast<double>(iteration))) {
+      return out_of_memory("injected shm exhaustion window at iteration " +
+                           std::to_string(iteration));
+    }
+    if (degrade_->mode() != fault::DegradeMode::kNormal) {
+      return buffer_->allocate(data.size(), client);
+    }
+    return blocking_allocate(data.size(), client);
+  }();
+  if (!block.is_ok()) {
+    if (block.status().code() != ErrorCode::kOutOfMemory) {
+      *outcome = WriteOutcome::kFailed;
+      return block.status();
+    }
+    return degraded_write(client, name_id, iteration, data,
+                          degrade_->on_pressure(), block.status(), outcome);
+  }
+  std::memcpy(buffer_->data(block.value()), data.data(), data.size());
+  if (publish(client, name_id, iteration, block.value())) {
+    degrade_->on_clear();
+    if (opts_.fault_checker != nullptr) {
+      opts_.fault_checker->note_write(client, iteration,
+                                      check::WriteOutcome::kPublished);
+    }
+    *outcome = WriteOutcome::kPublished;
+    return Status::ok();
+  }
+  const Status cause =
+      resource_busy("write of '" + names_.at(name_id) +
+                    "' dropped: server queue already closed");
+  return degraded_write(client, name_id, iteration, data,
+                        degrade_->on_pressure(), cause, outcome);
 }
 
-Status DamarisNode::publish_block(int client, std::uint32_t name_id,
-                                  std::int64_t iteration, shm::Block block,
-                                  WriteOutcome* outcome) {
-  // dc_commit publishes an in-place write: the client's last chance to
-  // have touched the payload.
+bool DamarisNode::publish(int client, std::uint32_t name_id,
+                          std::int64_t iteration, shm::Block block) {
+  // The client's last touch of the payload (a memcpy or, for dc_commit,
+  // an in-place write).
   buffer_->note_write(block);
   shm::Message msg;
   msg.type = shm::MessageType::kWriteNotification;
@@ -908,16 +852,11 @@ Status DamarisNode::publish_block(int client, std::uint32_t name_id,
   msg.iteration = iteration;
   msg.name_id = name_id;
   msg.block = block;
-  if (!shards_[shard_of(client)]->queue.push(msg)) {
-    // Same leak hazard as the write path: a dropped notification leaves
-    // the committed block live forever unless we release it here.
-    buffer_->deallocate(block);
-    *outcome = WriteOutcome::kFailed;
-    return resource_busy("commit of '" + names_.at(name_id) +
-                         "' dropped: server queue already closed");
-  }
-  *outcome = WriteOutcome::kPublished;
-  return Status::ok();
+  if (shards_[shard_of(client)]->queue.push(msg)) return true;
+  // Dropped: the server is shutting down and will never consume this
+  // block, so the pusher must release it or it leaks until shutdown.
+  buffer_->deallocate(block);
+  return false;
 }
 
 Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
@@ -1007,6 +946,7 @@ Status DamarisNode::sync_write(int client, std::uint32_t name_id,
 
 Result<std::span<std::byte>> Client::alloc(const std::string& variable,
                                            std::int64_t iteration) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   const format::Layout* layout = node_->cfg_.layout_of(variable);
   if (!layout) return not_found("variable '" + variable + "' not configured");
   const std::uint32_t id = node_->name_id(variable);
@@ -1021,6 +961,7 @@ Result<std::span<std::byte>> Client::alloc(const std::string& variable,
 }
 
 Status Client::commit(const std::string& variable, std::int64_t iteration) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   const std::uint32_t id = node_->name_id(variable);
   if (id == ~0u) return not_found("variable '" + variable + "' unknown");
   shm::Block block;
@@ -1033,12 +974,14 @@ Status Client::commit(const std::string& variable, std::int64_t iteration) {
     block = it->second;
     node_->pending_allocs_.erase(it);
   }
-  // Publish through the async path so commits order with this client's
-  // pending async writes (submit + wait, like write_sized).
-  return node_->submit_publish(id_, id, iteration, block).wait();
+  // Ordered after this client's pending async tickets, like write_sized.
+  node_->drain_async(id_);
+  WriteOutcome outcome = WriteOutcome::kPending;
+  return node_->timed_write(id_, id, iteration, {}, &block, &outcome);
 }
 
 Status Client::signal(const std::string& event, std::int64_t iteration) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   const std::uint32_t id = node_->name_id(event);
   if (id == ~0u) return not_found("event '" + event + "' unknown");
   if (!node_->cfg_.find_event(event)) {
@@ -1057,6 +1000,7 @@ Status Client::signal(const std::string& event, std::int64_t iteration) {
 }
 
 Status Client::end_iteration(std::int64_t iteration) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   // Fence: an iteration must not complete under this client's pending
   // async writes (preserves the blocking API's ordering guarantees).
   node_->drain_async(id_);
@@ -1072,6 +1016,7 @@ Status Client::end_iteration(std::int64_t iteration) {
 }
 
 Status Client::finalize() {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   node_->drain_async(id_);
   shm::Message msg;
   msg.type = shm::MessageType::kClientFinalize;

@@ -46,7 +46,6 @@
 #include "core/metadata.hpp"
 #include "core/persistency.hpp"
 #include "core/plugin.hpp"
-#include "des/task.hpp"
 #include "fault/degrade.hpp"
 #include "fault/fault.hpp"
 #include "plugin/pipeline.hpp"
@@ -166,15 +165,17 @@ class DamarisNode;
 
 /// Lightweight client handle (one per compute core). Copyable; methods
 /// are safe to call concurrently from different clients but each client
-/// id must be driven by a single thread.
+/// id must be driven by a single thread. On a handle whose id is outside
+/// [0, num_clients), every call but stats() fails with invalid_argument
+/// (the async calls return an already-failed ticket).
 class Client {
  public:
   Client() = default;
 
   /// df_write: copies `data` into shared memory and notifies the server.
   /// The variable must be declared in the configuration; `data` must
-  /// match its layout size. A thin wrapper over write_async(): submit +
-  /// wait on the same single write path.
+  /// match its layout size. Runs on the calling thread, after this
+  /// client's pending write_async() tickets completed.
   Status write(const std::string& variable, std::int64_t iteration,
                std::span<const std::byte> data);
 
@@ -186,9 +187,10 @@ class Client {
 
   /// Asynchronous df_write: copies `data` and returns a ticket
   /// immediately; the handoff to the dedicated core happens on this
-  /// client's submission worker, after every ticket in `opts.after`
-  /// completed. Layout-checked like write(); a validation failure
-  /// returns an already-failed ticket (never an invalid handle).
+  /// client's submission worker thread (started by the client's first
+  /// async write), after every ticket in `opts.after` completed.
+  /// Layout-checked like write(); a validation failure returns an
+  /// already-failed ticket (never an invalid handle).
   WriteTicket write_async(const std::string& variable, std::int64_t iteration,
                           std::span<const std::byte> data,
                           AsyncWriteOptions opts = {});
@@ -205,7 +207,8 @@ class Client {
   Result<std::span<std::byte>> alloc(const std::string& variable,
                                      std::int64_t iteration);
 
-  /// dc_commit: publishes a block previously obtained from alloc().
+  /// dc_commit: publishes a block previously obtained from alloc(), on
+  /// the calling thread and after this client's pending async tickets.
   Status commit(const std::string& variable, std::int64_t iteration);
 
   /// df_signal: sends a user-defined event to this client's dedicated
@@ -356,35 +359,33 @@ class DamarisNode {
   Result<shm::Block> blocking_allocate(Bytes size, int client);
   std::uint32_t name_id(const std::string& name) const;  // ~0u if unknown
 
-  // --- the async write path (core/async.hpp) ---
-  //
-  // Every write — blocking or not — is an AsyncSubmission executed by
-  // the owning client's FIFO worker thread; the blocking API is
-  // submit + wait. The path itself is a des::Task chain (ingest stage:
-  // allocate + memcpy; publish stage: notify or degrade) driven to
-  // completion by run_task(), the same task shape the DES pipeline
-  // uses.
+  /// The one range check of every Client entry point: invalid_argument
+  /// unless `client` is in [0, num_clients).
+  Status check_client(int client) const;
 
-  /// What one submission carries: either a payload to copy in
-  /// (write/write_async) or an already-staged block to publish
-  /// (commit). `view` aliases `owned` for async submissions and the
-  /// caller's buffer for blocking ones (the caller outlives wait()).
+  // --- the write path ---
+  //
+  // The blocking write()/write_sized()/commit() run on the caller's
+  // thread: they fence the client's pending async tickets
+  // (drain_async), then call timed_write(). write_async() queues an
+  // AsyncSubmission for the client's FIFO worker thread, spawned by the
+  // client's first async write, which calls the same timed_write() for
+  // each ticket.
+
+  /// One write_async() submission; it owns a copy of the payload.
   struct AsyncSubmission {
-    enum class Kind { kCopyWrite, kPublishBlock };
-    Kind kind = Kind::kCopyWrite;
     detail::TicketStatePtr state;
     std::uint32_t name_id = 0;
     std::int64_t iteration = 0;
-    std::vector<std::byte> owned;
-    std::span<const std::byte> view;
-    shm::Block block;  // kPublishBlock only
+    std::vector<std::byte> payload;
     std::vector<detail::TicketStatePtr> deps;
     WriteCallback on_complete;
   };
 
-  /// One submission worker per client (lazily spawned): a FIFO queue
-  /// drained by a dedicated thread, so submission order is execution
-  /// order and a single client's async timeline is deterministic.
+  /// One submission worker per client that wrote asynchronously: a FIFO
+  /// queue drained by a dedicated thread, so submission order is
+  /// execution order and a single client's async timeline is
+  /// deterministic.
   struct AsyncWorker {
     Mutex mutex;
     CondVar cv;
@@ -394,53 +395,41 @@ class DamarisNode {
     std::thread thread;
   };
 
-  /// Enqueues a copy-write submission and returns its ticket.
-  WriteTicket submit_copy_write(int client, std::uint32_t name_id,
-                                std::int64_t iteration,
-                                std::span<const std::byte> data, bool copy,
-                                AsyncWriteOptions opts);
-  /// Enqueues a publish submission for a block staged via dc_alloc.
-  WriteTicket submit_publish(int client, std::uint32_t name_id,
-                             std::int64_t iteration, shm::Block block);
-  WriteTicket submit(int client, AsyncSubmission sub);
+  /// Copies `data` into a submission on `client`'s worker and returns
+  /// its ticket.
+  WriteTicket submit(int client, std::uint32_t name_id, std::int64_t iteration,
+                     std::span<const std::byte> data, AsyncWriteOptions opts);
   /// A ticket born completed (validation failures); runs `cb` inline.
   WriteTicket failed_ticket(const Status& status, const WriteCallback& cb);
+  /// Sets the final Status/outcome, runs `cb`, then marks `state` done.
+  void complete_ticket(const detail::TicketStatePtr& state,
+                       const Status& status, WriteOutcome outcome,
+                       const WriteCallback& cb);
   AsyncWorker* async_worker(int client);
   void async_worker_main(int client, AsyncWorker& worker);
-  void execute_submission(int client, AsyncSubmission& sub);
   /// Blocks until `client`'s submission queue is empty and idle (the
-  /// end_iteration()/finalize() fence).
+  /// fence of the blocking calls, end_iteration() and finalize()).
   void drain_async(int client);
   /// Drains every worker, then joins and discards the threads (stop()
-  /// and the destructor; a later start() respawns lazily).
+  /// and the destructor; a later write_async() respawns lazily).
   void stop_async_workers();
 
-  /// Ingest stage: reserve the block in shared memory (injected
-  /// exhaustion, degraded probe or blocking allocate).
-  des::Task<Result<shm::Block>> ingest_stage(int client,
-                                             std::int64_t iteration,
-                                             Bytes size);
-  /// Publish stage: copy the payload in and notify the dedicated core,
-  /// or route through the degrade ladder when the queue is gone.
-  des::Task<Status> publish_stage(int client, std::uint32_t name_id,
-                                  std::int64_t iteration,
-                                  std::span<const std::byte> data,
-                                  shm::Block block, WriteOutcome* outcome);
-  /// The full write path as a task chain; `outcome` reports how the
+  /// The write body shared by the blocking calls and the async worker:
+  /// copies `data` in through client_write(), or, when `staged` is set,
+  /// publishes that dc_alloc block; a success is timed into ClientStats.
+  Status timed_write(int client, std::uint32_t name_id, std::int64_t iteration,
+                     std::span<const std::byte> data, const shm::Block* staged,
+                     WriteOutcome* outcome);
+  /// Reserves a block, copies `data` in and notifies the dedicated core,
+  /// or routes through the degrade ladder; `outcome` reports how the
   /// ladder resolved (published / sync / dropped / failed).
-  des::Task<Status> write_task(int client, std::uint32_t name_id,
-                               std::int64_t iteration,
-                               std::span<const std::byte> data,
-                               WriteOutcome* outcome);
-  /// Synchronous driver around write_task (one code path).
   Status client_write(int client, std::uint32_t name_id,
                       std::int64_t iteration, std::span<const std::byte> data,
                       WriteOutcome* outcome);
-  /// Publishes a block previously staged by dc_alloc (commit's half of
-  /// the path; no degrade ladder — the block is already in shm).
-  Status publish_block(int client, std::uint32_t name_id,
-                       std::int64_t iteration, shm::Block block,
-                       WriteOutcome* outcome);
+  /// Notifies the dedicated core of a filled block. False when the queue
+  /// is closed; the block is then released.
+  bool publish(int client, std::uint32_t name_id, std::int64_t iteration,
+               shm::Block block);
   /// Fallback after `cause` blocked the normal path, applying `mode`.
   Status degraded_write(int client, std::uint32_t name_id,
                         std::int64_t iteration,
@@ -503,8 +492,9 @@ class DamarisNode {
   mutable Mutex params_mutex_;
   std::map<std::string, std::string> parameters_ DMR_GUARDED_BY(params_mutex_);
 
-  /// Lazily spawned per-client submission workers; the vector's slots
-  /// are guarded, each worker synchronizes itself.
+  /// Per-client submission workers, spawned by a client's first
+  /// write_async(); the vector's slots are guarded, each worker
+  /// synchronizes itself.
   Mutex async_mutex_;
   std::vector<std::unique_ptr<AsyncWorker>> async_workers_
       DMR_GUARDED_BY(async_mutex_);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
+#include <string>
 #include <vector>
 
+#include "common/thread_annotations.hpp"
 #include "des/process.hpp"
 
 namespace dmr::fs {
@@ -12,6 +15,23 @@ namespace {
 /// Stable stream id for (file, client) so servers can detect switches.
 std::uint64_t stream_key(std::uint64_t file_id, std::uint64_t client) {
   return file_id * 1000003ULL + client;
+}
+
+/// The "mds/<shard>" trace label. A tracer keeps the label's pointer in
+/// every event it records, and those events outlive the file system (a
+/// run is drained after run_strategy() returns), so the labels live as
+/// long as the process: one per shard index ever used.
+const char* mds_lane_label(int shard) {
+  struct Labels {
+    Mutex mutex;
+    std::deque<std::string> names DMR_GUARDED_BY(mutex);
+  };
+  static Labels labels;
+  MutexLock lock(labels.mutex);
+  while (labels.names.size() <= static_cast<std::size_t>(shard)) {
+    labels.names.push_back("mds/" + std::to_string(labels.names.size()));
+  }
+  return labels.names[static_cast<std::size_t>(shard)].c_str();
 }
 }  // namespace
 
@@ -62,10 +82,9 @@ SimFs::SimFs(cluster::Machine& machine)
       MdsShard& shard = *mds_shards_.back();
       // Lanes generalize the old single "metadata" label: every shard
       // (and each of its replicas) is its own mds/<shard> stream.
-      shard.lane_label = "mds/" + std::to_string(s);
       shard.primary.set_trace(
           {trace::EntityType::kMds, static_cast<std::uint32_t>(s)},
-          shard.lane_label.c_str());
+          mds_lane_label(s));
       for (int r = 1; r < replicas; ++r) {
         shard.replicas.push_back(
             std::make_unique<des::ServiceQueue>(*eng_, 1.0));
@@ -73,7 +92,7 @@ SimFs::SimFs(cluster::Machine& machine)
         const int lane = shards + s * (replicas - 1) + (r - 1);
         shard.replicas.back()->set_trace(
             {trace::EntityType::kMds, static_cast<std::uint32_t>(lane)},
-            shard.lane_label.c_str());
+            mds_lane_label(s));
       }
     }
   }

@@ -1,14 +1,18 @@
 // The task-aware async write surface (core/async.hpp, DESIGN.md §14.1):
 // ticket lifecycle and the callback-before-done ordering contract,
 // dependence chains, WriteBatch, the end_iteration()/finalize() fence,
-// degrade-ladder outcomes (a ticket that fell to sync/drop reports the
-// same resolution the blocking path would have returned), and the
-// determinism of completion timelines across identical runs.
+// the blocking calls that run inline on the caller's thread but still
+// order after that client's pending tickets, degrade-ladder outcomes (a
+// ticket that fell to sync/drop reports the same resolution the
+// blocking path would have returned), and the determinism of
+// completion timelines across identical runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -277,17 +281,136 @@ TEST_F(AsyncNodeFixture, EndIterationFencesOutstandingTickets) {
 }
 
 TEST_F(AsyncNodeFixture, BlockingWriteIsSubmitPlusWait) {
-  // The blocking API rides the async path: after a mix of both, the
-  // node has seen every write exactly once and in order.
+  // The blocking write runs on the caller's thread after fencing the
+  // client's pending tickets: after a mix of both, the node has seen
+  // every write exactly once and in order.
   make_node(1);
   Client client = node_->client(0);
   const auto data = field();
   WriteTicket t = client.write_async("temperature", 0, data);
   EXPECT_TRUE(client.write("pressure", 0, data).is_ok());
-  EXPECT_TRUE(t.done());  // FIFO: the blocking write queued behind it
+  EXPECT_TRUE(t.done());  // the blocking write waited for it
   finish(client, 0);
   EXPECT_EQ(node_->client_stats(0).writes, 2u);
 }
+
+// --------------------------------------------- the inline blocking path
+
+/// A completion callback that holds its ticket pending (and its worker
+/// busy) until the test opens the gate.
+struct Gate {
+  std::promise<void> promise;
+  std::shared_future<void> opened = promise.get_future().share();
+  WriteCallback hold() const {
+    return [f = opened](const WriteTicket&) { f.wait(); };
+  }
+};
+
+TEST_F(AsyncNodeFixture, CommitWaitsForPendingAsyncTicket) {
+  make_node(1);
+  Client client = node_->client(0);
+  const auto data = field();
+  auto view = client.alloc("pressure", 0);
+  ASSERT_TRUE(view.is_ok());
+  std::memset(view.value().data(), 0x33, view.value().size());
+  Gate gate;
+  AsyncWriteOptions opts;
+  opts.on_complete = gate.hold();
+  WriteTicket t = client.write_async("temperature", 0, data, std::move(opts));
+  std::atomic<bool> committed{false};
+  bool ticket_done_at_return = false;
+  std::thread committer([&] {
+    EXPECT_TRUE(client.commit("pressure", 0).is_ok());
+    ticket_done_at_return = t.done();
+    committed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(committed.load());  // held behind the pending ticket
+  gate.promise.set_value();
+  committer.join();
+  EXPECT_TRUE(ticket_done_at_return);
+  finish(client, 0);
+  EXPECT_EQ(node_->client_stats(0).writes, 2u);
+}
+
+TEST_F(AsyncNodeFixture, BlockingWriteWaitsBehindCrossClientDependence) {
+  // Client 1's ticket depends on client 0's, which its callback holds;
+  // client 1's blocking write must wait for both.
+  make_node(2);
+  Client c0 = node_->client(0);
+  Client c1 = node_->client(1);
+  const auto data = field();
+  Gate gate;
+  AsyncWriteOptions held_opts;
+  held_opts.on_complete = gate.hold();
+  WriteTicket held = c0.write_async("temperature", 0, data,
+                                    std::move(held_opts));
+  AsyncWriteOptions dep_opts;
+  dep_opts.after.push_back(held);
+  WriteTicket dependent = c1.write_async("temperature", 0, data,
+                                         std::move(dep_opts));
+  std::atomic<bool> written{false};
+  bool dependent_done_at_return = false;
+  std::thread writer([&] {
+    EXPECT_TRUE(c1.write("pressure", 0, data).is_ok());
+    dependent_done_at_return = dependent.done();
+    written = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(written.load());
+  EXPECT_FALSE(dependent.done());
+  gate.promise.set_value();
+  writer.join();
+  EXPECT_TRUE(dependent_done_at_return);
+  EXPECT_LT(held.completion_seq(), dependent.completion_seq());
+  for (Client* c : {&c0, &c1}) {
+    EXPECT_TRUE(c->end_iteration(0).is_ok());
+    EXPECT_TRUE(c->finalize().is_ok());
+  }
+  EXPECT_TRUE(node_->stop().is_ok());
+  EXPECT_EQ(node_->client_stats(1).writes, 2u);
+}
+
+TEST_F(AsyncNodeFixture, ClientStatsCountEachWriteOnce) {
+  make_node(1);
+  Client client = node_->client(0);
+  const auto data = field();
+  EXPECT_TRUE(client.write("temperature", 0, data).is_ok());
+  EXPECT_TRUE(client.write_sized("pressure", 0, data).is_ok());
+  EXPECT_TRUE(client.write_async("temperature", 1, data).wait().is_ok());
+  ASSERT_TRUE(client.alloc("pressure", 1).is_ok());
+  EXPECT_TRUE(client.commit("pressure", 1).is_ok());
+  // Failures are not writes.
+  EXPECT_FALSE(client.write("temperature", 2, std::span(data).first(8)).is_ok());
+  EXPECT_FALSE(client.write_async("bogus", 2, data).wait().is_ok());
+  EXPECT_FALSE(client.commit("pressure", 2).is_ok());
+  finish(client, 1);
+  const ClientStats cs = node_->client_stats(0);
+  EXPECT_EQ(cs.writes, 4u);
+  EXPECT_EQ(cs.bytes_written, 4 * data.size());
+  EXPECT_EQ(node_->stats().stages.of(iopath::StageKind::kIngest).ops, 4u);
+}
+
+#ifdef __linux__
+TEST_F(AsyncNodeFixture, OnlyAsyncWritesStartAWorkerThread) {
+  const auto threads = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator{});
+  };
+  make_node(1);
+  Client client = node_->client(0);
+  const auto data = field();
+  const auto before = threads();
+  EXPECT_TRUE(client.write("temperature", 0, data).is_ok());
+  EXPECT_TRUE(client.write_sized("pressure", 0, data).is_ok());
+  ASSERT_TRUE(client.alloc("temperature", 1).is_ok());
+  EXPECT_TRUE(client.commit("temperature", 1).is_ok());
+  EXPECT_EQ(threads(), before);
+  EXPECT_TRUE(client.write_async("pressure", 1, data).wait().is_ok());
+  EXPECT_EQ(threads(), before + 1);
+  finish(client, 1);
+}
+#endif
 
 // ------------------------------------------- degrade-ladder outcomes
 

@@ -363,6 +363,82 @@ TEST_F(NodeFixture, CompressionRatioReported) {
   EXPECT_GT(node_->stats().persistency.compression_ratio(), 1.2);
 }
 
+TEST(ClientRange, OutOfRangeIdsFailEveryEntryPoint) {
+  // Two shards: id -1 used to index shards_[-1], and id num_clients
+  // maps onto shard 0, where its end_iteration() counted toward the
+  // completion of client 0's iteration.
+  const char* xml = R"(
+<damaris>
+  <buffer size="1048576" policy="firstfit"/>
+  <dedicated cores="2"/>
+  <layout name="grid" type="float32" dimensions="16,16,4"/>
+  <variable name="temperature" layout="grid"/>
+  <variable name="pressure" layout="grid"/>
+  <event name="analyze" action="stats" scope="local"/>
+</damaris>)";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("damaris_range_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  auto cfg = config::Config::from_string(xml);
+  ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+  NodeOptions opts;
+  opts.output_dir = dir.string();
+  opts.file_prefix = "range";
+  opts.protocol_check = true;
+  DamarisNode node(std::move(cfg.value()), 2, opts);
+  ASSERT_EQ(node.num_shards(), 2);
+  ASSERT_TRUE(node.start().is_ok());
+  const std::vector<std::byte> data(16 * 16 * 4 * 4, std::byte{0x5a});
+
+  Client c0 = node.client(0);
+  ASSERT_TRUE(c0.write("temperature", 0, data).is_ok());
+  for (int bad : {-1, node.num_clients()}) {
+    SCOPED_TRACE("client id " + std::to_string(bad));
+    Client c = node.client(bad);
+    const auto invalid = [](const Status& st) {
+      return st.code() == ErrorCode::kInvalidArgument;
+    };
+    EXPECT_TRUE(invalid(c.write("temperature", 0, data)));
+    EXPECT_TRUE(invalid(c.write_sized("temperature", 0, data)));
+    EXPECT_TRUE(invalid(c.alloc("temperature", 0).status()));
+    EXPECT_TRUE(invalid(c.commit("temperature", 0)));
+    EXPECT_TRUE(invalid(c.signal("analyze", 0)));
+    EXPECT_TRUE(invalid(c.end_iteration(0)));
+    EXPECT_TRUE(invalid(c.finalize()));
+    for (const WriteTicket& t : {c.write_async("temperature", 0, data),
+                                 c.write_sized_async("temperature", 0, data)}) {
+      EXPECT_TRUE(t.done());
+      EXPECT_EQ(t.outcome(), WriteOutcome::kFailed);
+      EXPECT_TRUE(invalid(t.status()));
+    }
+  }
+  ASSERT_TRUE(c0.write("pressure", 0, data).is_ok());
+
+  Client c1 = node.client(1);
+  ASSERT_TRUE(c1.write("temperature", 0, data).is_ok());
+  for (Client* c : {&c0, &c1}) {
+    EXPECT_TRUE(c->end_iteration(0).is_ok());
+    EXPECT_TRUE(c->finalize().is_ok());
+  }
+  ASSERT_TRUE(node.stop().is_ok());
+
+  // Iteration 0 completed once per shard, with every block its clients
+  // wrote; nothing leaked and the shm protocol stayed clean.
+  const ServerStats stats = node.stats();
+  ASSERT_EQ(stats.iterations.size(), 2u);
+  for (const IterationRecord& rec : stats.iterations) {
+    EXPECT_EQ(rec.iteration, 0);
+    EXPECT_EQ(rec.blocks, rec.shard == 0 ? 2u : 1u);
+    EXPECT_TRUE(rec.persisted);
+  }
+  EXPECT_EQ(stats.failed_iterations, 0u);
+  EXPECT_EQ(stats.protocol_violations, 0u);
+  EXPECT_EQ(node.buffer().used(), 0u);
+  EXPECT_EQ(node.client_stats(0).writes, 2u);
+  EXPECT_EQ(node.client_stats(1).writes, 1u);
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------------------------ capi
 
 TEST(CApi, FullLifecycle) {
