@@ -1,10 +1,6 @@
-// dmr_verify driver: collects the file set (compile_commands.json plus
-// a recursive src/ header scan, like dmr_lint), runs the three rule
-// families, applies the allowlist, and reports. A whole-run result
-// cache keyed on each file's (mtime, size, content hash) makes the
-// no-change re-run — the common CI case — cost only file stats; the
-// allowlist is applied after the cache so editing a justification never
-// invalidates it.
+// dmr_verify driver: analyzes every .cpp/.hpp (and .cc/.h) file under
+// <root>/src — compile-database entries and headers alike — runs the
+// four rule families of rules.hpp, applies the allowlist, and reports.
 #pragma once
 
 #include <string>
@@ -13,10 +9,8 @@ namespace dmr::analysis {
 
 struct Options {
   std::string root = ".";
-  std::string compdb;     ///< optional compile_commands.json
   std::string allowlist;  ///< defaults to root/tools/dmr_verify/allowlist.txt
   std::string json_out;   ///< optional machine-readable findings
-  std::string cache;      ///< optional cache file (build/dmr_verify.cache)
   bool verbose = false;
 };
 

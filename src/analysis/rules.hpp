@@ -1,4 +1,4 @@
-// The three dmr_verify rule families (DESIGN.md §16). Each pass walks
+// The four dmr_verify rule families (DESIGN.md §16). Each pass walks
 // the TreeModel and appends findings; suppression (allowlist) and
 // reporting live in analyzer.cpp.
 //
@@ -17,8 +17,18 @@
 //                                     DMR_SHARD_LOCAL/_SHARED
 //                shard-channel-api    shard-shared state touched
 //                                     outside a DMR_CHANNEL_API fn
+//   project      mutex-annotation     bare std:: lock primitive, or a
+//                                     dmr::Mutex that guards nothing
+//                clock-mixing         one function touching wall-clock
+//                                     and simulated time
+//                discarded-status     (void)-cast of a Status/Result call
+//                trace-category       trace::Category not registered in
+//                                     category_name()
+//                config-doc           src/config/ key absent from
+//                                     DESIGN.md
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,5 +48,10 @@ struct Finding {
 void run_determinism_rules(const TreeModel& model, std::vector<Finding>& out);
 void run_atomics_rules(const TreeModel& model, std::vector<Finding>& out);
 void run_shard_rules(const TreeModel& model, std::vector<Finding>& out);
+/// `design` is the text of <root>/DESIGN.md (config-doc's reference);
+/// nullopt when the tree has none.
+void run_project_rules(const TreeModel& model,
+                       const std::optional<std::string>& design,
+                       std::vector<Finding>& out);
 
 }  // namespace dmr::analysis

@@ -29,7 +29,7 @@ const char* kSimRoots[] = {"src/des/",    "src/strategies/", "src/cm1/",
                            "src/iopath/", "src/sched/"};
 
 /// Actual wall-clock reads/sleeps (type mentions like std::chrono alone
-/// are dmr_lint's clock-mixing territory, not a read).
+/// are clock-mixing's territory in rules_project.cpp, not a read).
 const char* kWallTokens[] = {"wall_now",
                              "steady_clock::now",
                              "system_clock::now",

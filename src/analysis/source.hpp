@@ -1,10 +1,10 @@
-// Lightweight C++ source model shared by the dmr_verify rule passes
-// (ISSUE 9 tentpole). Same philosophy as tools/dmr_lint: no libclang,
-// no preprocessor — a comment/string stripper, a heuristic brace
-// tracker that recovers function boundaries, and offset→line helpers.
-// dmr_verify layers per-function dataflow on top (see model.hpp), which
-// is why the extraction here also records byte offsets: the rules need
-// to ask "is this occurrence inside that function's body?".
+// Lightweight C++ source model shared by the dmr_verify rule passes:
+// no libclang, no preprocessor — a comment/string stripper, a heuristic
+// brace tracker that recovers function boundaries, and offset→line
+// helpers. The dataflow rules layer per-function analysis on top (see
+// model.hpp), which is why the extraction here also records byte
+// offsets: the rules need to ask "is this occurrence inside that
+// function's body?".
 #pragma once
 
 #include <optional>

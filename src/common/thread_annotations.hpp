@@ -17,13 +17,13 @@
 // below wrap the std primitives with the attributes Clang needs. The
 // wrappers are zero-cost: every method is a single inlined forward.
 //
-// Conventions (enforced by tools/dmr_lint, rule mutex-annotation):
+// Conventions (enforced by tools/dmr_verify, rule mutex-annotation):
 //  - mutex members are dmr::Mutex (never a bare std::mutex) and every
 //    member they protect carries DMR_GUARDED_BY(that_mutex_);
 //  - private helpers that expect the lock held are suffixed _locked and
 //    annotated DMR_REQUIRES(mutex_);
 //  - the rare intentional exceptions (seqlock, virtual-thread models)
-//    live in tools/dmr_lint/allowlist.txt with a one-line justification.
+//    live in tools/dmr_verify/allowlist.txt with a one-line justification.
 #pragma once
 
 #include <condition_variable>

@@ -1,6 +1,6 @@
-// dmr_verify — dataflow-level static analyzer (ISSUE 9 tentpole).
+// dmr_verify — the project's static analyzer.
 //
-// Three rule families over the whole tree (src/analysis/ holds the
+// Four rule families over the whole tree (src/analysis/ holds the
 // implementation; DESIGN.md §16 the semantics):
 //
 //   determinism   det-unordered-sink, det-pointer-key, det-wall-in-sim
@@ -9,12 +9,13 @@
 //   shard-safety  shard-annotation, shard-channel-api
 //                 (DMR_SHARD_LOCAL / DMR_SHARD_SHARED / DMR_CHANNEL_API
 //                 across src/des/)
+//   project       mutex-annotation, clock-mixing, discarded-status,
+//                 trace-category, config-doc (vs <root>/DESIGN.md)
 //
-// Same contract as dmr_lint: findings are suppressed only by
-// tools/dmr_verify/allowlist.txt entries of the form
-// `rule path[:symbol]  # justification`; an entry without a
-// justification is itself a finding, unused entries warn. Exit 0 =
-// clean, 1 = unsuppressed findings, 2 = usage/IO error.
+// Findings are suppressed only by tools/dmr_verify/allowlist.txt
+// entries of the form `rule path[:symbol]  # justification`; an entry
+// without a justification is itself a finding, unused entries warn.
+// Exit 0 = clean, 1 = unsuppressed findings, 2 = usage/IO error.
 #include <iostream>
 #include <string>
 
@@ -23,9 +24,8 @@
 namespace {
 
 int usage() {
-  std::cerr
-      << "usage: dmr_verify [--root DIR] [--compdb FILE] [--allowlist FILE]\n"
-         "                  [--json FILE] [--cache FILE] [--verbose]\n";
+  std::cerr << "usage: dmr_verify [--root DIR] [--allowlist FILE] "
+               "[--json FILE] [--verbose]\n";
   return 2;
 }
 
@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (a == "--root") { if (const char* v = next()) opt.root = v; else return usage(); }
-    else if (a == "--compdb") { if (const char* v = next()) opt.compdb = v; else return usage(); }
     else if (a == "--allowlist") { if (const char* v = next()) opt.allowlist = v; else return usage(); }
     else if (a == "--json") { if (const char* v = next()) opt.json_out = v; else return usage(); }
-    else if (a == "--cache") { if (const char* v = next()) opt.cache = v; else return usage(); }
     else if (a == "--verbose") opt.verbose = true;
     else return usage();
   }
