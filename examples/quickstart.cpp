@@ -1,12 +1,13 @@
 // Quickstart: the paper's §III-D example, in C++.
 //
 // One SMP node with three compute threads (clients) and one dedicated
-// I/O core (the DamarisNode's server thread). Each client submits a 3-D
-// variable with write_async() — the call copies and returns
-// immediately, so the "computation" of the next step overlaps the
-// handoff — then signals an event and ends the iteration, which fences
-// the outstanding ticket before the dedicated core persists everything
-// to one DH5 file per iteration.
+// I/O core (the DamarisNode's server thread, the only thread the node
+// starts). Each client submits a 3-D variable with write_async() — the
+// call copies the array into shared memory and returns without ever
+// waiting for space (when shm is full the ticket parks a copy and
+// completes later) — then signals an event and ends the iteration,
+// which fences the outstanding ticket before the dedicated core
+// persists everything to one DH5 file per iteration.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>

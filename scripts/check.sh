@@ -180,11 +180,12 @@ if [ "$RUN_TSAN" = 1 ]; then
   # middleware tests that drive client/server threads, the lock-free
   # trace ring's concurrent-writer tests, one chaos scenario (a mixed
   # fault plan driven by four real client threads), and the async
-  # ticket/worker layer (tickets, dependences, fences, inline blocking
-  # writes).
+  # ticket layer (tickets, dependences, fences, inline blocking writes,
+  # parked tickets run by the thread that waits on or polls them) with
+  # its C API df_test/df_wait round-trip.
   run_sanitized_ctest thread build-tsan \
-    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|TraceRing|FaultChaos|AsyncNodeFixture" \
-    shm_test check_test trace_test fault_test async_test
+    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|TraceRing|FaultChaos|AsyncNodeFixture|CApi\.AsyncTickets" \
+    shm_test check_test trace_test fault_test async_test core_test
 fi
 
 # -------------------------------------------- shm-protocol model checking

@@ -10,11 +10,12 @@
 #                               # model/chaos/sched/plugins/facility gates
 #   scripts/ci.sh --tsan        # ... plus the threaded suites under TSan
 #
-# Extra flags are passed through to scripts/check.sh. Exits non-zero on
-# the first failing step. Pass or fail, it ends with a summary of every
-# stage that did not run: left out by --fast, or reported
-# "SKIPPED (reason)" by scripts/check.sh because this host lacks its
-# tool.
+# --fast and --tsan are the only flags; both are passed on to
+# scripts/check.sh. Any other flag exits 2 with usage before the first
+# stage runs. Exits non-zero on the first failing step. Pass or fail, it
+# ends with a summary of every stage that did not run: left out by
+# --fast, or reported "SKIPPED (reason)" by scripts/check.sh because
+# this host lacks its tool.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,7 +23,15 @@ JOBS="${JOBS:-$(nproc)}"
 FAST=0
 CHECK_ARGS=()
 for arg in "$@"; do
-  if [ "$arg" = --fast ]; then FAST=1; fi
+  case "$arg" in
+    --fast) FAST=1 ;;
+    --tsan) ;;
+    *)
+      echo "ci.sh: unknown option: $arg" >&2
+      echo "usage: scripts/ci.sh [--fast] [--tsan]" >&2
+      exit 2
+      ;;
+  esac
   CHECK_ARGS+=("$arg")
 done
 # The slow check.sh gates the full run adds and --fast leaves out.

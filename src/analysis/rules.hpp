@@ -48,6 +48,11 @@ struct Finding {
 void run_determinism_rules(const TreeModel& model, std::vector<Finding>& out);
 void run_atomics_rules(const TreeModel& model, std::vector<Finding>& out);
 void run_shard_rules(const TreeModel& model, std::vector<Finding>& out);
+/// clock-mixing's test: `fn` names both a wall-clock token and a
+/// simulated-time token, returned through `wall`/`sim`. det-wall-in-sim
+/// leaves such a function's own wall read to clock-mixing, so each
+/// hazard is reported once.
+bool mixes_clocks(const Function& fn, const char** wall, const char** sim);
 /// `design` is the text of <root>/DESIGN.md (config-doc's reference);
 /// nullopt when the tree has none.
 void run_project_rules(const TreeModel& model,

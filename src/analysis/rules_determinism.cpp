@@ -384,6 +384,11 @@ void rule_wall_in_sim(const TreeModel& m, std::vector<Finding>& out) {
       }
     }
     if (hit == SIZE_MAX) continue;
+    const auto& [fi, gi] = m.all_fns[i];
+    const char* wall = nullptr;
+    const char* sim = nullptr;
+    if (hit == i && mixes_clocks(m.files[fi].functions[gi], &wall, &sim))
+      continue;  // one function, both clocks: clock-mixing reports it
     std::vector<std::size_t> chain;
     for (std::size_t p = hit;; p = parent[p]) {
       chain.push_back(p);
@@ -395,7 +400,6 @@ void rule_wall_in_sim(const TreeModel& m, std::vector<Finding>& out) {
       path += m.files[m.all_fns[*it].first].functions[m.all_fns[*it].second]
                   .name;
     }
-    const auto& [fi, gi] = m.all_fns[i];
     out.push_back({"det-wall-in-sim", m.files[fi].rel,
                    m.files[fi].functions[gi].line,
                    m.files[fi].functions[gi].name,

@@ -80,25 +80,10 @@ void rule_mutex_annotation(const SourceFile& f,
 // --- clock-mixing -------------------------------------------------------
 
 void rule_clock_mixing(const SourceFile& f, std::vector<Finding>& out) {
-  // sleep_until alone is NOT a wall marker: des::Engine::sleep_until
-  // takes simulated time. Wall sleeps in this tree always go through
-  // std::this_thread.
-  static const char* kWall[] = {"std::chrono", "steady_clock", "system_clock",
-                                "high_resolution_clock", "wall_now",
-                                "this_thread::sleep_for"};
-  static const char* kSim[] = {"SimTime", "sim_now"};
   for (const Function& fn : f.functions) {
-    // Signature + body: a SimTime parameter fed into a wall-clock sleep
-    // is exactly the hazard, and SimTime often appears only as a
-    // parameter type.
-    const std::string text = fn.header + fn.body;
     const char* wall = nullptr;
     const char* sim = nullptr;
-    for (const char* t : kWall)
-      if (text.find(t) != std::string::npos) { wall = t; break; }
-    for (const char* t : kSim)
-      if (text.find(t) != std::string::npos) { sim = t; break; }
-    if (wall != nullptr && sim != nullptr)
+    if (mixes_clocks(fn, &wall, &sim))
       out.push_back({"clock-mixing", f.rel, fn.line, fn.name,
                      "function '" + fn.name + "' mixes wall-clock (" + wall +
                          ") and simulated time (" + sim +
@@ -248,6 +233,27 @@ void rule_config_doc(const SourceFile& f,
 }
 
 }  // namespace
+
+bool mixes_clocks(const Function& fn, const char** wall, const char** sim) {
+  // sleep_until alone is NOT a wall marker: des::Engine::sleep_until
+  // takes simulated time. Wall sleeps in this tree always go through
+  // std::this_thread.
+  static const char* kWall[] = {"std::chrono", "steady_clock", "system_clock",
+                                "high_resolution_clock", "wall_now",
+                                "this_thread::sleep_for"};
+  static const char* kSim[] = {"SimTime", "sim_now"};
+  // Signature + body: a SimTime parameter fed into a wall-clock sleep is
+  // exactly the hazard, and SimTime often appears only as a parameter
+  // type.
+  const std::string text = fn.header + fn.body;
+  *wall = nullptr;
+  *sim = nullptr;
+  for (const char* t : kWall)
+    if (text.find(t) != std::string::npos) { *wall = t; break; }
+  for (const char* t : kSim)
+    if (text.find(t) != std::string::npos) { *sim = t; break; }
+  return *wall != nullptr && *sim != nullptr;
+}
 
 void run_project_rules(const TreeModel& model,
                        const std::optional<std::string>& design,

@@ -1,15 +1,21 @@
 #include "core/async.hpp"
 
+#include "core/damaris.hpp"
+
 namespace dmr::core {
 
 bool WriteTicket::done() const {
   if (!state_) return false;
-  MutexLock lock(state_->mutex);
-  return state_->done;
+  if (state_->is_done()) return true;
+  state_->owner->pump(state_->client, /*wait=*/false, state_.get());
+  return state_->is_done();
 }
 
 Status WriteTicket::wait() const {
   if (!state_) return failed_precondition("wait() on an invalid ticket");
+  if (!state_->is_done()) {
+    state_->owner->pump(state_->client, /*wait=*/true, state_.get());
+  }
   MutexLock lock(state_->mutex);
   while (!state_->done) state_->cv.wait(state_->mutex);
   return state_->status;

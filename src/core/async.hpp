@@ -14,26 +14,27 @@
 //   Status st = batch.wait_all();                    // or t2.wait()
 //
 // Semantics:
-//  - Submission order per client is execution order: a client's first
-//    write_async() starts its FIFO worker thread, and a ticket with
-//    dependences (`after`) holds that worker until each dependence
-//    completes. Dependences may come from other clients or nodes;
-//    cycles are impossible by construction — a ticket can only depend
-//    on tickets that already exist.
-//  - The payload is copied at submission, so the caller's buffer is
-//    free the moment write_async() returns (the dc_alloc/dc_commit pair
-//    remains the zero-copy path).
-//  - A completion callback runs on the worker thread after the final
-//    Status/WriteOutcome are set and *before* the ticket reports done —
-//    wait() returning (or done() turning true) implies the callback has
-//    finished. A ticket that fails validation is born completed, and
-//    its callback runs inline on the submitting thread.
+//  - No write starts a thread. A ticket runs on whichever thread needs
+//    it, in its client's submission order. With no parked tickets, its
+//    dependences (`after`) done and room in shm, write_async() copies
+//    straight into shm and completes the ticket before returning;
+//    otherwise it parks a copy. It never waits for shm space, and the
+//    caller's buffer is free once it returns (dc_alloc/dc_commit remain
+//    the zero-copy path). Dependences may come from other clients or
+//    nodes; cycles are impossible — a ticket can only depend on tickets
+//    that already exist.
+//  - wait() runs the owner's parked tickets up to its own, waiting for
+//    dependences and space; done() runs what can run without waiting,
+//    so a program that only polls still sees a parked ticket complete.
+//  - A completion callback runs on the thread that completes the
+//    ticket, after the final Status/WriteOutcome are set and *before*
+//    the ticket reports done — wait() returning (or done() turning
+//    true) implies the callback has finished.
 //  - The blocking Client::write()/write_sized()/commit() run on the
-//    caller's thread and start no worker. They first wait for the
-//    client's outstanding tickets, then call the same timed write
-//    function the worker calls for each ticket. end_iteration() and
-//    finalize() fence the same way, so mixed async/blocking programs
-//    keep the blocking API's ordering.
+//    caller's thread after the client's parked tickets, through the
+//    same timed write function. end_iteration(), finalize() and
+//    DamarisNode::stop() fence the same way, so mixed async/blocking
+//    programs keep the blocking API's ordering.
 //
 // Thread-safety: WriteTicket and WriteBatch are value types sharing an
 // internal state block guarded by its own mutex (annotated for
@@ -72,9 +73,17 @@ namespace detail {
 /// published before the callback runs; `done` flips only after the
 /// callback returns (see the ordering contract above).
 struct TicketState {
-  explicit TicketState(std::uint64_t ticket_id) : id(ticket_id) {}
+  TicketState(std::uint64_t ticket_id, DamarisNode* owner_node = nullptr,
+              int owner_client = -1)
+      : id(ticket_id), owner(owner_node), client(owner_client) {}
+  bool is_done() const { MutexLock lock(mutex); return done; }
 
   const std::uint64_t id;
+  /// The node and client whose FIFO runs this ticket; only a pending
+  /// ticket touches it (stop() and the destructor complete every ticket,
+  /// so a pending ticket's node is alive). Null when born completed.
+  DamarisNode* const owner;
+  const int client;
   mutable Mutex mutex;
   mutable CondVar cv;
   bool done DMR_GUARDED_BY(mutex) = false;
@@ -89,8 +98,8 @@ using TicketStatePtr = std::shared_ptr<TicketState>;
 
 }  // namespace detail
 
-/// Completion callback; runs on the submission worker thread (inline on
-/// the submitting thread for a ticket that failed validation).
+/// Completion callback; runs on the thread that completes the ticket
+/// (see "Semantics" above).
 using WriteCallback = std::function<void(const WriteTicket&)>;
 
 /// Handle to one asynchronous write. Copyable and cheap; all copies
@@ -131,9 +140,8 @@ struct AsyncWriteOptions {
   /// Tickets that must complete before this write executes (ordering
   /// dependences, possibly across clients or nodes).
   std::vector<WriteTicket> after;
-  /// Runs on the worker thread (or inline, for a ticket that failed
-  /// validation) once Status/WriteOutcome are final, before the ticket
-  /// reports done.
+  /// Runs on the thread that completes the ticket once Status/
+  /// WriteOutcome are final, before the ticket reports done.
   WriteCallback on_complete;
 };
 

@@ -53,7 +53,7 @@ DamarisNode::DamarisNode(config::Config cfg, int num_clients,
       buffer_(std::make_unique<shm::SharedBuffer>(
           cfg_.buffer_size(), policy_from(cfg_), num_clients)),
       client_stats_(num_clients),
-      async_workers_(static_cast<std::size_t>(std::max(num_clients, 0))) {
+      async_fifos_(static_cast<std::size_t>(std::max(num_clients, 0))) {
   // One server shard per configured dedicated core; never more shards
   // than clients.
   const int shards =
@@ -115,9 +115,9 @@ DamarisNode::DamarisNode(config::Config cfg, int num_clients,
 }
 
 DamarisNode::~DamarisNode() {
-  // Submission workers exist independently of started_ and hold
-  // references into the buffer and queues: retire them first.
-  stop_async_workers();
+  // Parked tickets exist independently of started_ and need the buffer
+  // and queues: complete them first.
+  for (int c = 0; c < num_clients_; ++c) drain_async(c);
   if (started_.load(std::memory_order_acquire)) {
     for (auto& shard : shards_) shard->queue.close();
     for (auto& shard : shards_) {
@@ -159,9 +159,9 @@ Client DamarisNode::client(int id) { return Client(this, id); }
 Status DamarisNode::stop() {
   if (!started_.load(std::memory_order_acquire))
     return failed_precondition("node not started");
-  // Drain queued async submissions while the servers can still consume
+  // Complete parked async tickets while the servers can still consume
   // them, then close the shard queues.
-  stop_async_workers();
+  for (int c = 0; c < num_clients_; ++c) drain_async(c);
   for (auto& shard : shards_) shard->queue.close();
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
@@ -671,97 +671,83 @@ WriteTicket DamarisNode::submit(int client, std::uint32_t name_id,
                                 std::int64_t iteration,
                                 std::span<const std::byte> data,
                                 AsyncWriteOptions opts) {
-  auto state = std::make_shared<detail::TicketState>(
-      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   AsyncSubmission sub;
-  sub.state = state;
+  sub.state = std::make_shared<detail::TicketState>(
+      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1, this, client);
   sub.name_id = name_id;
   sub.iteration = iteration;
-  sub.payload.assign(data.begin(), data.end());
   sub.deps.reserve(opts.after.size());
   for (const WriteTicket& dep : opts.after) {
     if (dep.state_ != nullptr) sub.deps.push_back(dep.state_);
   }
   sub.on_complete = std::move(opts.on_complete);
-  AsyncWorker* worker = async_worker(client);
+  WriteTicket ticket(sub.state);
+  AsyncFifo& fifo = async_fifos_[static_cast<std::size_t>(client)];
+  bool claimed = false;  // the FIFO was idle: nothing parked goes first
   {
-    MutexLock lock(worker->mutex);
-    worker->queue.push_back(std::move(sub));
+    MutexLock lock(fifo.mutex);
+    claimed = fifo.queue.empty() && !fifo.in_flight;
+    fifo.in_flight = fifo.in_flight || claimed;
   }
-  worker->cv.notify_all();
-  return WriteTicket(std::move(state));
+  // An idle FIFO: one non-blocking try, straight from the caller's span.
+  const bool ran = claimed && run_submission(client, sub, data, /*wait=*/false);
+  if (!ran) sub.payload.assign(data.begin(), data.end());
+  {
+    MutexLock lock(fifo.mutex);
+    if (!ran) fifo.queue.push_back(std::move(sub));
+    if (claimed) fifo.in_flight = false;
+  }
+  fifo.cv.notify_all();
+  if (!ran) pump(client, /*wait=*/false, nullptr);
+  return ticket;
 }
 
-DamarisNode::AsyncWorker* DamarisNode::async_worker(int client) {
-  MutexLock lock(async_mutex_);
-  auto& slot = async_workers_[static_cast<std::size_t>(client)];
-  if (!slot) {
-    slot = std::make_unique<AsyncWorker>();
-    AsyncWorker* w = slot.get();
-    w->thread = std::thread([this, client, w] { async_worker_main(client, *w); });
+bool DamarisNode::run_submission(int client, AsyncSubmission& sub,
+                                 std::span<const std::byte> data, bool wait) {
+  // Honour dependences before touching shared memory. A ticket only
+  // depends on tickets created before it, so waiting terminates.
+  for (const detail::TicketStatePtr& dep : sub.deps) {
+    const WriteTicket t(dep);
+    if (wait) {
+      // Only the dependence's completion matters; its Status is its own.
+      [[maybe_unused]] const Status dep_status = t.wait();
+    } else if (!t.done()) {
+      return false;
+    }
   }
-  return slot.get();
+  WriteOutcome outcome = WriteOutcome::kPending;
+  const Status st = timed_write(client, sub.name_id, sub.iteration, data,
+                                nullptr, &outcome, wait);
+  if (outcome == WriteOutcome::kPending) return false;  // would block
+  complete_ticket(sub.state, st, outcome, sub.on_complete);
+  return true;
 }
 
-void DamarisNode::async_worker_main(int client, AsyncWorker& worker) {
+void DamarisNode::pump(int client, bool wait,
+                       const detail::TicketState* target) {
+  AsyncFifo& fifo = async_fifos_[static_cast<std::size_t>(client)];
+  const auto reached = [target] { return target && target->is_done(); };
   for (;;) {
     AsyncSubmission sub;
     {
-      MutexLock lock(worker.mutex);
-      while (worker.queue.empty() && !worker.stopping) {
-        worker.cv.wait(worker.mutex);
-      }
-      if (worker.queue.empty()) return;  // stopping and fully drained
-      sub = std::move(worker.queue.front());
-      worker.queue.pop_front();
-      worker.in_flight = true;
+      MutexLock lock(fifo.mutex);
+      // One ticket runs at a time: a blocking pump waits for another
+      // thread's, a non-blocking one leaves the FIFO to it.
+      while (wait && fifo.in_flight && !reached()) fifo.cv.wait(fifo.mutex);
+      if (fifo.in_flight || fifo.queue.empty() || reached()) return;
+      sub = std::move(fifo.queue.front());
+      fifo.queue.pop_front();
+      fifo.in_flight = true;
     }
-    // Honour dependences before touching shared memory. Cycles are
-    // impossible (a ticket only depends on already-created tickets).
-    for (const detail::TicketStatePtr& dep : sub.deps) {
-      MutexLock lock(dep->mutex);
-      while (!dep->done) dep->cv.wait(dep->mutex);
-    }
-    WriteOutcome outcome = WriteOutcome::kFailed;
-    const Status st = timed_write(client, sub.name_id, sub.iteration,
-                                  sub.payload, nullptr, &outcome);
-    complete_ticket(sub.state, st, outcome, sub.on_complete);
+    // No FIFO mutex held here: dependences may pump other FIFOs.
+    const bool ran = run_submission(client, sub, sub.payload, wait);
     {
-      MutexLock lock(worker.mutex);
-      worker.in_flight = false;
+      MutexLock lock(fifo.mutex);
+      if (!ran) fifo.queue.push_front(std::move(sub));
+      fifo.in_flight = false;
     }
-    worker.cv.notify_all();  // wake drain_async() fences
-  }
-}
-
-void DamarisNode::drain_async(int client) {
-  AsyncWorker* worker = nullptr;
-  {
-    MutexLock lock(async_mutex_);
-    worker = async_workers_[static_cast<std::size_t>(client)].get();
-  }
-  if (worker == nullptr) return;
-  MutexLock lock(worker->mutex);
-  while (!worker->queue.empty() || worker->in_flight) {
-    worker->cv.wait(worker->mutex);
-  }
-}
-
-void DamarisNode::stop_async_workers() {
-  std::vector<std::unique_ptr<AsyncWorker>> retired;
-  {
-    MutexLock lock(async_mutex_);
-    for (auto& slot : async_workers_) {
-      if (slot) retired.push_back(std::move(slot));
-    }
-  }
-  for (auto& worker : retired) {
-    {
-      MutexLock lock(worker->mutex);
-      worker->stopping = true;
-    }
-    worker->cv.notify_all();
-    if (worker->thread.joinable()) worker->thread.join();
+    fifo.cv.notify_all();
+    if (!ran) return;
   }
 }
 
@@ -771,11 +757,11 @@ Status DamarisNode::timed_write(int client, std::uint32_t name_id,
                                 std::int64_t iteration,
                                 std::span<const std::byte> data,
                                 const shm::Block* staged,
-                                WriteOutcome* outcome) {
+                                WriteOutcome* outcome, bool wait) {
   const auto t0 = Clock::now();
   Status st;
   if (staged == nullptr) {
-    st = client_write(client, name_id, iteration, data, outcome);
+    st = client_write(client, name_id, iteration, data, outcome, wait);
   } else if (publish(client, name_id, iteration, *staged)) {
     *outcome = WriteOutcome::kPublished;
   } else {
@@ -798,29 +784,30 @@ Status DamarisNode::timed_write(int client, std::uint32_t name_id,
 Status DamarisNode::client_write(int client, std::uint32_t name_id,
                                  std::int64_t iteration,
                                  std::span<const std::byte> data,
-                                 WriteOutcome* outcome) {
+                                 WriteOutcome* outcome, bool wait) {
   // Three ways to come back without a block, all funnelled through the
   // degrade controller: an injected exhaustion window, a real
   // exhaustion (timeout), or — in an already-degraded mode — a single
   // failed probe (no blocking wait: a degraded client must not stall the
-  // simulation).
-  Result<shm::Block> block = [&]() -> Result<shm::Block> {
-    if (injector_ != nullptr &&
-        injector_->fires_window(fault::Site::kShmExhaust,
-                                static_cast<double>(iteration))) {
-      return out_of_memory("injected shm exhaustion window at iteration " +
-                           std::to_string(iteration));
-    }
-    if (degrade_->mode() != fault::DegradeMode::kNormal) {
-      return buffer_->allocate(data.size(), client);
-    }
-    return blocking_allocate(data.size(), client);
-  }();
+  // simulation). Without `wait`, a real exhaustion in normal mode is
+  // one failed probe that leaves the write pending instead.
+  const bool injected =
+      injector_ != nullptr &&
+      injector_->fires_window(fault::Site::kShmExhaust,
+                              static_cast<double>(iteration));
+  const bool normal = degrade_->mode() == fault::DegradeMode::kNormal;
+  Result<shm::Block> block =
+      injected ? out_of_memory("injected shm exhaustion window at iteration " +
+                               std::to_string(iteration))
+      : normal && wait ? blocking_allocate(data.size(), client)
+                       : buffer_->allocate(data.size(), client);
   if (!block.is_ok()) {
     if (block.status().code() != ErrorCode::kOutOfMemory) {
       *outcome = WriteOutcome::kFailed;
       return block.status();
     }
+    *outcome = WriteOutcome::kPending;  // would block: nothing done
+    if (!injected && normal && !wait) return block.status();
     return degraded_write(client, name_id, iteration, data,
                           degrade_->on_pressure(), block.status(), outcome);
   }

@@ -153,7 +153,7 @@ struct ClientStats {
   Bytes bytes_written = 0;
   double write_seconds = 0.0;   // total time spent inside write()/commit()
   double max_write_seconds = 0.0;
-  std::uint64_t alloc_stalls = 0;  // writes that had to wait for space
+  std::uint64_t alloc_stalls = 0;  // writes whose caller waited for space
   /// Degraded-mode outcomes: writes that fell back to the synchronous
   /// path, and writes dropped with accounting (opt-in last resort).
   std::uint64_t sync_writes = 0;
@@ -185,12 +185,11 @@ class Client {
   Status write_sized(const std::string& variable, std::int64_t iteration,
                      std::span<const std::byte> data);
 
-  /// Asynchronous df_write: copies `data` and returns a ticket
-  /// immediately; the handoff to the dedicated core happens on this
-  /// client's submission worker thread (started by the client's first
-  /// async write), after every ticket in `opts.after` completed.
-  /// Layout-checked like write(); a validation failure returns an
-  /// already-failed ticket (never an invalid handle).
+  /// Asynchronous df_write: returns a ticket, never waiting for shm
+  /// space. It completes inline (one copy into shm) when it can, else
+  /// parks a copy until a thread waits on, polls or fences it (see
+  /// core/async.hpp). Layout-checked like write(); a validation failure
+  /// returns an already-failed ticket (never an invalid handle).
   WriteTicket write_async(const std::string& variable, std::int64_t iteration,
                           std::span<const std::byte> data,
                           AsyncWriteOptions opts = {});
@@ -327,6 +326,7 @@ class DamarisNode {
 
  private:
   friend class Client;
+  friend class WriteTicket;  // wait()/done() pump the owner's FIFO
 
   /// One dedicated core: queue + metadata + persistency + its loop
   /// state. All fields except `queue` are touched only by its thread.
@@ -365,14 +365,13 @@ class DamarisNode {
 
   // --- the write path ---
   //
-  // The blocking write()/write_sized()/commit() run on the caller's
-  // thread: they fence the client's pending async tickets
-  // (drain_async), then call timed_write(). write_async() queues an
-  // AsyncSubmission for the client's FIFO worker thread, spawned by the
-  // client's first async write, which calls the same timed_write() for
-  // each ticket.
+  // No thread but the dedicated cores. The blocking write()/
+  // write_sized()/commit() fence the client's parked async tickets
+  // (drain_async), then call timed_write() on the caller's thread.
+  // write_async() runs its ticket inline or parks it; pump() runs a
+  // client's parked tickets on whichever thread needs one.
 
-  /// One write_async() submission; it owns a copy of the payload.
+  /// One write_async() submission; a parked one owns a payload copy.
   struct AsyncSubmission {
     detail::TicketStatePtr state;
     std::uint32_t name_id = 0;
@@ -382,21 +381,16 @@ class DamarisNode {
     WriteCallback on_complete;
   };
 
-  /// One submission worker per client that wrote asynchronously: a FIFO
-  /// queue drained by a dedicated thread, so submission order is
-  /// execution order and a single client's async timeline is
-  /// deterministic.
-  struct AsyncWorker {
+  /// One client's parked submissions, in submission order; `in_flight`
+  /// marks the one some thread is running (one at a time, in order).
+  struct AsyncFifo {
     Mutex mutex;
     CondVar cv;
     std::deque<AsyncSubmission> queue DMR_GUARDED_BY(mutex);
     bool in_flight DMR_GUARDED_BY(mutex) = false;
-    bool stopping DMR_GUARDED_BY(mutex) = false;
-    std::thread thread;
   };
 
-  /// Copies `data` into a submission on `client`'s worker and returns
-  /// its ticket.
+  /// Issues a ticket: runs it inline when it can, else parks a copy.
   WriteTicket submit(int client, std::uint32_t name_id, std::int64_t iteration,
                      std::span<const std::byte> data, AsyncWriteOptions opts);
   /// A ticket born completed (validation failures); runs `cb` inline.
@@ -405,27 +399,32 @@ class DamarisNode {
   void complete_ticket(const detail::TicketStatePtr& state,
                        const Status& status, WriteOutcome outcome,
                        const WriteCallback& cb);
-  AsyncWorker* async_worker(int client);
-  void async_worker_main(int client, AsyncWorker& worker);
-  /// Blocks until `client`'s submission queue is empty and idle (the
-  /// fence of the blocking calls, end_iteration() and finalize()).
-  void drain_async(int client);
-  /// Drains every worker, then joins and discards the threads (stop()
-  /// and the destructor; a later write_async() respawns lazily).
-  void stop_async_workers();
+  /// Runs `client`'s FIFO on the calling thread until `target` is done
+  /// (the whole FIFO when null). With `wait` it waits for dependences,
+  /// space and another thread's in-flight ticket; without, it stops at
+  /// the first ticket that would wait.
+  void pump(int client, bool wait, const detail::TicketState* target);
+  /// Runs one submission on `data`; false (nothing done) when it would
+  /// have to wait and `wait` is off.
+  bool run_submission(int client, AsyncSubmission& sub,
+                      std::span<const std::byte> data, bool wait);
+  /// The fence of the blocking calls, end_iteration(), finalize() and
+  /// stop(): runs `client`'s FIFO to empty.
+  void drain_async(int client) { pump(client, true, nullptr); }
 
-  /// The write body shared by the blocking calls and the async worker:
+  /// The write body shared by the blocking calls and the async tickets:
   /// copies `data` in through client_write(), or, when `staged` is set,
   /// publishes that dc_alloc block; a success is timed into ClientStats.
   Status timed_write(int client, std::uint32_t name_id, std::int64_t iteration,
                      std::span<const std::byte> data, const shm::Block* staged,
-                     WriteOutcome* outcome);
+                     WriteOutcome* outcome, bool wait = true);
   /// Reserves a block, copies `data` in and notifies the dedicated core,
   /// or routes through the degrade ladder; `outcome` reports how the
-  /// ladder resolved (published / sync / dropped / failed).
+  /// ladder resolved (published / sync / dropped / failed). Without
+  /// `wait`, a full buffer in normal mode leaves `outcome` kPending.
   Status client_write(int client, std::uint32_t name_id,
                       std::int64_t iteration, std::span<const std::byte> data,
-                      WriteOutcome* outcome);
+                      WriteOutcome* outcome, bool wait);
   /// Notifies the dedicated core of a filled block. False when the queue
   /// is closed; the block is then released.
   bool publish(int client, std::uint32_t name_id, std::int64_t iteration,
@@ -492,12 +491,7 @@ class DamarisNode {
   mutable Mutex params_mutex_;
   std::map<std::string, std::string> parameters_ DMR_GUARDED_BY(params_mutex_);
 
-  /// Per-client submission workers, spawned by a client's first
-  /// write_async(); the vector's slots are guarded, each worker
-  /// synchronizes itself.
-  Mutex async_mutex_;
-  std::vector<std::unique_ptr<AsyncWorker>> async_workers_
-      DMR_GUARDED_BY(async_mutex_);
+  std::vector<AsyncFifo> async_fifos_;  // one per client, self-synchronized
   std::atomic<std::uint64_t> ticket_seq_{0};
   std::atomic<std::uint64_t> ticket_completions_{0};
 

@@ -321,6 +321,11 @@ TEST(DmrLint, ClockMixingIsFlaggedPerFunction) {
   EXPECT_NE(r.output.find("'drift'"), std::string::npos) << r.output;
   // The sim-only sibling in the same file must NOT be flagged.
   EXPECT_EQ(r.output.find("pure_sim"), std::string::npos) << r.output;
+  // One hazard, one finding: det-wall-in-sim leaves it to clock-mixing.
+  EXPECT_EQ(r.output.find("[det-wall-in-sim]"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("1 finding(s), 1 unsuppressed"), std::string::npos)
+      << r.output;
 }
 
 TEST(DmrLint, DiscardedStatusIsFlagged) {
